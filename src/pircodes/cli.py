@@ -10,7 +10,8 @@ or "unknown" verdicts).  Nonzero exits are reserved for errors:
   5  internal error
 
 Long-running commands honor --budget and stream progress lines to standard
-error; the sharded scans (hamming check, maxsize) also honor --threads.
+error; maxsize, the only sharded search, also takes --threads (worker
+processes, default from PIRCODES_THREADS).
 --format json prints a single JSON document on standard output; --format
 text prints a human-oriented rendering.
 """
@@ -206,11 +207,12 @@ def _cmd_packing_number(args) -> int:
 
 def _cmd_hamming_check(args) -> int:
     report = hamming.check_no_3pir_any_encoder(
-        args.r, threads=args.threads, progress=_progress_printer("hamming")
+        args.r, progress=_progress_printer("hamming")
     )
     text = (
         f"order {report.r}: verdict={report.verdict} "
-        f"triples={report.triples_checked} failing={report.failing_triples} "
+        f"triples={report.triples_checked} partitions={report.partitions_scanned} "
+        f"failing={report.failing_triples} "
         f"elapsed={report.elapsed:.2f}s"
     )
     _emit(args, report.to_jsonable(), text)
@@ -337,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("PIRCODES_THREADS", "1")),
-        help="worker processes for sharded scans (env PIRCODES_THREADS)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="build availability codes")
@@ -417,6 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--force-compute", action="store_true",
                    help="run the clique search beyond the default range")
+    p.add_argument(
+        "--threads", type=int,
+        default=int(os.environ.get("PIRCODES_THREADS", "1")),
+        help="worker processes for the clique search (env PIRCODES_THREADS)",
+    )
     _add_common(p, budget=True)
     p.set_defaults(func=_cmd_maxsize)
 
@@ -448,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=2)
     p.add_argument("--restarts", type=int, default=400)
     p.add_argument("--checkpoint")
-    _add_common(p, budget=True)
     p.set_defaults(func=_cmd_search_open11)
 
     return parser

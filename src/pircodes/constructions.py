@@ -9,7 +9,6 @@ time, so a ConstructedCode is verified by checking, not trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .designs import (
     PackingDesign,
@@ -127,32 +126,11 @@ def build_packing_pir(k: int, t: int, design: PackingDesign) -> ConstructedCode:
 
 
 def build_pir3(k: int) -> ConstructedCode:
-    """3-availability code with the fewest parity columns: P's rows are the
-    first k weight-2 vectors of length r in lexicographic support order,
-    where r is minimal with r(r-1)/2 >= k."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    r = min_redundancy_pir3(k)
-    n = k + r
-    pairs = list(combinations(range(1, r + 1), 2))[:k]
-    rows = []
-    for i, (p, q) in enumerate(pairs):
-        rows.append((1 << (n - 1 - i)) | (1 << (r - p)) | (1 << (r - q)))
-    encoder = LinearEncoder(BitMatrix(n, tuple(rows)))
-    point_to_bits: dict[int, list[int]] = {}
-    for j, pair in enumerate(pairs, start=1):
-        for p in pair:
-            point_to_bits.setdefault(p, []).append(j)
-    witnesses = []
-    for j, (p, q) in enumerate(pairs, start=1):
-        witnesses.append(
-            (
-                frozenset({j}),
-                frozenset({k + p} | {j2 for j2 in point_to_bits[p] if j2 != j}),
-                frozenset({k + q} | {j2 for j2 in point_to_bits[q] if j2 != j}),
-            )
-        )
-    return ConstructedCode(encoder, tuple(witnesses), f"pir3(k={k}, r={r})")
+    """3-availability code with the fewest parity columns: the packing
+    construction on all pairs of r points, r minimal with r(r-1)/2 >= k, so
+    P's rows are the first k weight-2 vectors of length r in lexicographic
+    support order."""
+    return build_packing_pir(k, 3, all_pairs_design(min_redundancy_pir3(k)))
 
 
 def extend_for_even_t(code: ConstructedCode) -> ConstructedCode:

@@ -8,9 +8,18 @@ union of the three agreement relations.  Complementing every codeword
 permutes those components, so if every balanced union of components is
 closed under complementation, every candidate data bit takes equal values
 on c and its complement; a full encoder would then decode complementary
-codewords identically, contradicting injectivity.  Scanning all disjoint
-triples of position sets therefore proves that no 3-availability encoder
-of any kind exists.
+codewords identically, contradicting injectivity.
+
+Partitions dominate triples.  Growing a disjoint triple (A, B, C) to
+(A', B', C') with A <= A', B <= B', C <= C' makes every agreement relation
+finer, so the components get finer: a balanced union for the smaller
+triple is still one for the larger, and it keeps any failure of
+complement-closure.  Every disjoint triple grows to one of the S(n,3)
+partitions of [n] into three blocks, so scanning those partitions (301
+for r = 3) decides exactly what scanning all (4^n - 3*3^n + 3*2^n - 1)/6
+disjoint triples (1,701) would, and proves that no 3-availability encoder
+of any kind exists.  The partition generator and the component finder are
+shared with the encoder-existence decision in `pircodes.search`.
 """
 
 from __future__ import annotations
@@ -20,7 +29,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import UsageError
-from .gf2 import BitMatrix, Code, LinearCode, mask_to_positions
+from .gf2 import BitMatrix, Code, LinearCode
+from .search import (
+    _agreement_components,
+    _block_positions,
+    _iter_partitions,
+    _mask_indices,
+)
 
 __all__ = [
     "HammingCode",
@@ -143,9 +158,15 @@ def line_word_value(line: Line, n: int) -> int:
 
 @dataclass
 class ImpossibilityReport:
+    """Outcome of `check_no_3pir_any_encoder`.  `triples_checked` is the
+    number of disjoint triples the scan covers; `partitions_scanned` the
+    partitions actually visited; `failing_triples` counts failing partitions.
+    """
+
     verdict: str  # "no_encoder" | "encoder_exists" | "inconclusive"
     r: int
     triples_checked: int
+    partitions_scanned: int
     failing_triples: int
     counterexample: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None
     max_components: int
@@ -156,6 +177,7 @@ class ImpossibilityReport:
             "verdict": self.verdict,
             "order": self.r,
             "triples_checked": self.triples_checked,
+            "partitions_scanned": self.partitions_scanned,
             "failing_triples": self.failing_triples,
             "counterexample": [list(s) for s in self.counterexample]
             if self.counterexample
@@ -164,178 +186,74 @@ class ImpossibilityReport:
         }
 
 
-def _iter_disjoint_triples(n: int):
-    """Unordered triples of disjoint nonempty subsets of [n], canonically
-    labeled: scanning positions 1..n, the first used position opens set 1,
-    the next new set is 2, then 3 (restricted-growth strings over 0..3,
-    where 0 means unused)."""
-    labels = [0] * n
-
-    def rec(pos: int, used_max: int):
-        if pos == n:
-            m1 = m2 = m3 = 0
-            for i, lab in enumerate(labels):
-                if lab == 1:
-                    m1 |= 1 << (n - 1 - i)
-                elif lab == 2:
-                    m2 |= 1 << (n - 1 - i)
-                elif lab == 3:
-                    m3 |= 1 << (n - 1 - i)
-            yield (m1, m2, m3)
-            return
-        remaining = n - pos
-        for lab in range(0, min(used_max + 1, 3) + 1):
-            if 3 - max(used_max, lab) > remaining - 1:
-                continue  # cannot still open the missing sets
-            labels[pos] = lab
-            yield from rec(pos + 1, max(used_max, lab))
-        labels[pos] = 0
-
-    yield from rec(0, 0)
+def _disjoint_triple_count(n: int) -> int:
+    """Unordered triples of pairwise disjoint nonempty subsets of [n]."""
+    return (4**n - 3 * 3**n + 3 * 2**n - 1) // 6
 
 
-def _components(values: list[int], masks: tuple[int, int, int]) -> list[int]:
-    """Connected components (as index bitmasks) of the union of the three
-    equal-restriction relations."""
-    m = len(values)
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mask in masks:
-        groups: dict[int, int] = {}
-        for idx, v in enumerate(values):
-            key = v & mask
-            if key in groups:
-                ra, rb = find(groups[key]), find(idx)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                groups[key] = idx
-    comps: dict[int, int] = {}
-    for idx in range(m):
-        comps.setdefault(find(idx), 0)
-        comps[find(idx)] |= 1 << idx
-    return list(comps.values())
-
-
-def _split_balanced_union_exists(comps: list[int], partner: dict[int, int], half: int) -> bool:
+def _split_balanced_union_exists(sizes: list[int], partner: list[int], half: int) -> bool:
     """Is there a union of components of total size `half` that is not closed
-    under the complement involution on components?
+    under the complement involution on components (component i maps to
+    component partner[i])?
 
     A non-closed union must split some swapped pair {A, B}: include exactly
     one of them plus any other components reaching the remaining size, so it
     exists iff some pair leaves a feasible subset sum.
     """
-    sizes = [c.bit_count() for c in comps]
-    index = {c: i for i, c in enumerate(comps)}
-    seen = set()
-    for i, comp in enumerate(comps):
-        mate = partner[comp]
-        jm = index[mate]
-        if jm == i or (jm, i) in seen:
+    for i, j in enumerate(partner):
+        if j <= i:  # fixed component, or a pair already tried from j
             continue
-        seen.add((i, jm))
         need = half - sizes[i]
         if need < 0:
             continue
         reach = 1
         for u, s in enumerate(sizes):
-            if u != i and u != jm:
+            if u != i and u != j:
                 reach |= reach << s
         if (reach >> need) & 1:
             return True
     return False
 
 
-def _scan_triples(values: list[int], n: int, triples, progress=None):
-    """Scan triples for a balanced component union that splits a complement
-    orbit; returns (checked, failing, first_failing_offset, first_triple,
-    max_components)."""
-    m = len(values)
-    half = m // 2
-    all_one = (1 << n) - 1
-    idx_of = {v: i for i, v in enumerate(values)}
-    complement_idx = [idx_of[v ^ all_one] for v in values]
-
-    checked = 0
-    failing = 0
-    first_offset = None
-    first_triple = None
-    max_components = 0
-    for offset, masks in triples:
-        checked += 1
-        comps = _components(values, masks)
-        if len(comps) > max_components:
-            max_components = len(comps)
-        comp_of = {}
-        for c in comps:
-            mm = c
-            while mm:
-                low = mm & -mm
-                comp_of[low.bit_length() - 1] = c
-                mm ^= low
-        partner = {}
-        for c in comps:
-            any_idx = (c & -c).bit_length() - 1
-            partner[c] = comp_of[complement_idx[any_idx]]
-        if _split_balanced_union_exists(comps, partner, half):
-            failing += 1
-            if first_offset is None:
-                first_offset = offset
-                first_triple = tuple(mask_to_positions(n, mk) for mk in masks)
-        if progress is not None and checked % 500 == 0:
-            progress(f"triples={checked} failing={failing}")
-    return checked, failing, first_offset, first_triple, max_components
-
-
-def _shard_worker(args):
-    r, shard = args
-    code = build_hamming(r).code()
-    return _scan_triples(list(code.values), code.n, shard)
-
-
-def check_no_3pir_any_encoder(
-    r: int = 3, threads: int = 1, progress=None
-) -> ImpossibilityReport:
-    """Exhaustively scan all disjoint position-set triples of the order-r
-    Hamming code for a balanced component union that is not closed under
+def check_no_3pir_any_encoder(r: int = 3, progress=None) -> ImpossibilityReport:
+    """Scan every partition of the positions of the order-r Hamming code into
+    three blocks for a balanced component union that is not closed under
     complementation.  If none exists, no encoder of any kind can give any
     data bit three disjoint recovery sets.
 
-    Exhaustive regime: r <= 3 (the triple space grows as 4^n).  With
-    threads > 1 the triple list is sharded round-robin across processes;
-    the verdict is the conjunction over shards and the reported
-    counterexample is the first in enumeration order.
+    A failing triple grows to a failing partition (see the module notes), so
+    the S(n,3) partitions decide exactly what all disjoint triples would.
+    Exhaustive regime: r <= 3.
     """
     if r not in (2, 3):
         raise UsageError("exhaustive triple scan is supported for r in {2, 3}")
     start = time.monotonic()
     ham = build_hamming(r)
     code = ham.code()
-    values = list(code.values)
+    values = code.values
     n = code.n
+    half = len(values) // 2
+    all_one = (1 << n) - 1
+    idx_of = {v: i for i, v in enumerate(values)}
+    complement_idx = [idx_of[v ^ all_one] for v in values]
 
-    triples = list(enumerate(_iter_disjoint_triples(n)))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        shards = [triples[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_shard_worker, [(r, s) for s in shards]))
-        checked = sum(p[0] for p in parts)
-        failing = sum(p[1] for p in parts)
-        max_components = max(p[4] for p in parts)
-        firsts = [(p[2], p[3]) for p in parts if p[2] is not None]
-        counterexample = min(firsts)[1] if firsts else None
-    else:
-        checked, failing, _, counterexample, max_components = _scan_triples(
-            values, n, triples, progress
-        )
+    scanned = failing = max_components = 0
+    counterexample = None
+    for masks in _iter_partitions(n):
+        scanned += 1
+        comps = _agreement_components(values, masks)
+        max_components = max(max_components, len(comps))
+        comp_of = {}
+        for ci, c in enumerate(comps):
+            for i in _mask_indices(c):
+                comp_of[i] = ci
+        partner = [comp_of[complement_idx[_mask_indices(c)[0]]] for c in comps]
+        if _split_balanced_union_exists([c.bit_count() for c in comps], partner, half):
+            failing += 1
+            if counterexample is None:
+                counterexample = _block_positions(n, masks)
+        if progress is not None and scanned % 100 == 0:
+            progress(f"partitions={scanned} failing={failing}")
 
     elapsed = time.monotonic() - start
     if failing == 0:
@@ -346,7 +264,8 @@ def check_no_3pir_any_encoder(
     else:
         verdict = "inconclusive"
     return ImpossibilityReport(
-        verdict, r, checked, failing, counterexample, max_components, elapsed
+        verdict, r, _disjoint_triple_count(n), scanned, failing, counterexample,
+        max_components, elapsed,
     )
 
 

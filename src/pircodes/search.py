@@ -22,7 +22,9 @@ Checkpoint files are ASCII JSON-lines: a header record
 {"format": "pircodes-checkpoint", "version": 1, "problem": {...}} followed
 by progress records ({"type": "root_done"|"restart_done"|"code"|"examined",
 ...}).  Readers ignore record types they do not know, which lets the hunt
-pipeline share a file with the underlying code stream.
+pipeline share a file with the underlying code stream.  A damaged final
+line (a torn write) is cut off on resume; any other line that does not
+decode raises CheckpointError rather than losing its record.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ import random
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import CheckpointError, UsageError
-from .gf2 import Code
+from .gf2 import Code, mask_to_positions
 from .recovery import ExplicitEncoder, verify_pir
 
 __all__ = [
@@ -193,87 +195,57 @@ class RecoverableTriple:
     truncated: bool
 
 
-def _iter_triples_by_size(n: int, budget: Budget):
-    """Disjoint triples of nonempty subsets of [n], ordered by total size and
-    then lexicographically by the (min-sorted) position tuples.  Stops when
-    the budget runs out (yields None as a sentinel)."""
-    for total in range(3, n + 1):
-        batch: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-        aborted = False
-        for universe in combinations(range(1, n + 1), total):
-            for labels in _surjective_labelings(total):
-                if not budget.spend():
-                    aborted = True
+def _iter_partitions(n: int) -> Iterator[tuple[int, int, int]]:
+    """The S(n,3) partitions of positions 1..n into three nonempty blocks, as
+    position bitmasks (position p is bit n-p).  Each partition comes once,
+    its blocks ordered by smallest position: the restricted-growth labelling.
+    Block 1 holds position 1, block 2 the smallest position outside block 1.
+    """
+    first = 1 << (n - 1)
+    rest = first - 1
+    sub = rest
+    while True:
+        left = rest ^ sub
+        if left & (left - 1):  # at least two positions left for blocks 2 and 3
+            low = 1 << (left.bit_length() - 1)
+            others = left ^ low
+            s = (others - 1) & others
+            while True:
+                yield first | sub, low | s, others ^ s
+                if not s:
                     break
-                sets: tuple[list[int], list[int], list[int]] = ([], [], [])
-                for pos, lab in zip(universe, labels):
-                    sets[lab - 1].append(pos)
-                batch.append(tuple(tuple(s) for s in sets))
-            if aborted:
-                break
-        batch.sort()
-        yield from batch
-        if aborted:
-            yield None
+                s = (s - 1) & others
+        if not sub:
             return
+        sub = (sub - 1) & rest
 
 
-def _surjective_labelings(size: int):
-    """Restricted-growth labelings of `size` items onto exactly {1, 2, 3}."""
-    labels = [0] * size
-
-    def rec(pos: int, used: int):
-        if pos == size:
-            if used == 3:
-                yield tuple(labels)
-            return
-        if 3 - used > size - pos:
-            return
-        for lab in range(1, min(used + 1, 3) + 1):
-            labels[pos] = lab
-            yield from rec(pos + 1, max(used, lab))
-
-    yield from rec(0, 0)
-
-
-def _agreement_components(values: Sequence[int], n: int, triple) -> list[int]:
-    """Connected components (index bitmasks) of the union of the three
-    equal-restriction relations, by flood fill over restriction groups."""
-    masks = []
-    for positions in triple:
-        mk = 0
-        for p in positions:
-            mk |= 1 << (n - p)
-        masks.append(mk)
-    groups: list[dict[int, int]] = []
+def _agreement_components(values: Sequence[int], masks: Sequence[int]) -> list[int]:
+    """Connected components (index bitmasks, ordered by lowest index) of the
+    union of the equal-restriction relations, one relation per mask."""
+    links: list[int] = []  # classes of two or more codewords that agree
     for mk in masks:
-        g: dict[int, int] = {}
-        for idx, v in enumerate(values):
+        groups: dict[int, int] = {}
+        bit = 1
+        for v in values:
             key = v & mk
-            g[key] = g.get(key, 0) | (1 << idx)
-        groups.append(g)
-    m = len(values)
-    unvisited = (1 << m) - 1
+            groups[key] = groups.get(key, 0) | bit
+            bit <<= 1
+        links += [g for g in groups.values() if g & (g - 1)]
     comps = []
-    while unvisited:
-        seed = unvisited & -unvisited
-        comp = 0
-        frontier = seed
-        while frontier:
-            comp |= frontier
-            new = 0
-            f = frontier
-            while f:
-                low = f & -f
-                idx = low.bit_length() - 1
-                v = values[idx]
-                for mk, g in zip(masks, groups):
-                    new |= g[v & mk]
-                f ^= low
-            frontier = new & ~comp
+    rest = (1 << len(values)) - 1
+    while rest:
+        comp = rest & -rest
+        grown = True
+        while grown:
+            grown = False
+            for g in links:
+                if g & comp and g & ~comp:
+                    comp |= g
+                    grown = True
         comps.append(comp)
-        unvisited &= ~comp
-    comps.sort(key=lambda c: (c & -c).bit_length())
+        rest &= ~comp
+        links = [g for g in links if not g & comp]
     return comps
 
 
@@ -310,29 +282,44 @@ def _balanced_unions(comps: list[int], half: int, max_components: int):
     return sorted(out), False
 
 
+def _scan_partitions(code: Code, budget: Budget, max_components: int):
+    """Yield (masks, components, colorings, truncated) per partition of the
+    positions, spending one budget node each; stop when the budget runs out."""
+    values = code.values
+    half = code.size // 2
+    for masks in _iter_partitions(code.n):
+        if not budget.spend():
+            return
+        comps = _agreement_components(values, masks)
+        colorings, truncated = _balanced_unions(comps, half, max_components)
+        yield masks, comps, colorings, truncated
+
+
 def recoverable_functions(
     code: Code,
     budget: Budget | int | None = None,
     max_components: int = 20,
 ) -> Iterator[RecoverableTriple]:
-    """Stream, per disjoint position-set triple, the component partition and
-    every balanced component union: exactly the candidate data-bit functions
-    that would have that triple as disjoint recovery sets."""
+    """Stream, per partition of the positions into three blocks, the component
+    partition and every balanced component union: exactly the candidate
+    data-bit functions that would have those blocks as disjoint recovery sets.
+
+    Partitions suffice.  Growing a disjoint triple (A, B, C) to a partition
+    (A', B', C') with A <= A', B <= B', C <= C' makes every agreement relation
+    finer, so its components get finer: every balanced union of the triple is
+    one of the partition, and every triple is covered by some partition.  The
+    S(n,3) partitions therefore yield every candidate function (and every
+    truncation) that all (4^n - 3*3^n + 3*2^n - 1)/6 disjoint triples would.
+    """
     k = code.dimension()
     if k is None or k < 1:
         raise UsageError("code size must be a power of two, at least 2")
-    budget = ensure_budget(budget)
     values = code.values
-    half = code.size // 2
-    for triple in _iter_triples_by_size(code.n, budget):
-        if triple is None:
-            return
-        if not budget.spend():
-            return
-        comps = _agreement_components(values, code.n, triple)
-        colorings, truncated = _balanced_unions(comps, half, max_components)
+    for masks, comps, colorings, truncated in _scan_partitions(
+        code, ensure_budget(budget), max_components
+    ):
         partition = ComponentPartition(
-            triple,
+            _block_positions(code.n, masks),
             tuple(tuple(values[i] for i in _mask_indices(c)) for c in comps),
         )
         yield RecoverableTriple(
@@ -340,6 +327,10 @@ def recoverable_functions(
             tuple(tuple(values[i] for i in _mask_indices(cm)) for cm in colorings),
             truncated,
         )
+
+
+def _block_positions(n: int, masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    return tuple(mask_to_positions(n, mk) for mk in masks)
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -358,9 +349,13 @@ def _mask_indices(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ExistsResult:
+    """Outcome of `encoder_exists_3pir`.  `witnesses` holds, per data bit,
+    the partition of the positions whose blocks recover it; `triples_seen`
+    counts the partitions scanned (they cover every disjoint triple)."""
+
     status: str  # found | none | unknown
     encoder: ExplicitEncoder | None
-    witnesses: tuple[tuple[tuple[int, ...], ...], ...] | None  # triple per data bit
+    witnesses: tuple[tuple[tuple[int, ...], ...], ...] | None  # partition per data bit
     triples_seen: int
     candidates: int
     best_depth: int
@@ -375,8 +370,9 @@ def encoder_exists_3pir(
 ) -> ExistsResult:
     """Decide whether any one-to-one encoder makes this code 3-available.
 
-    Enumerates every recoverable balanced 2-coloring (deduplicated by the
-    split it induces), then backtracks for k of them whose joint refinement
+    Enumerates every recoverable balanced 2-coloring over the partitions of
+    the positions into three blocks (see `recoverable_functions`), deduplicated
+    by the split it induces, then backtracks for k of them whose joint refinement
     separates all codewords.  Any valid choice must halve every refinement
     class at every step, which is checked eagerly.  "none" is only reported
     after complete enumeration and exhaustive backtracking.
@@ -387,29 +383,22 @@ def encoder_exists_3pir(
     budget = ensure_budget(budget)
     values = code.values
     m = code.size
-    half = m // 2
     full = (1 << m) - 1
 
     candidates: dict[int, tuple] = {}
     complete = True
     triples_seen = 0
-    for triple in _iter_triples_by_size(code.n, budget):
-        if triple is None:
-            complete = False
-            break
-        if not budget.spend():
-            complete = False
-            break
+    for blocks, _, colorings, truncated in _scan_partitions(code, budget, max_components):
         triples_seen += 1
-        comps = _agreement_components(values, code.n, triple)
-        colorings, truncated = _balanced_unions(comps, half, max_components)
         if truncated:
             complete = False
         for mask in colorings:
             if mask not in candidates:
-                candidates[mask] = triple
+                candidates[mask] = blocks
         if progress is not None and triples_seen % 2000 == 0:
-            progress(f"triples={triples_seen} candidates={len(candidates)}")
+            progress(f"partitions={triples_seen} candidates={len(candidates)}")
+    if budget.exhausted:
+        complete = False
 
     masks = list(candidates.keys())
     chosen: list[int] = []
@@ -458,7 +447,8 @@ def encoder_exists_3pir(
                     a |= 1 << (k - 1 - i)
             table[a] = values[idx]
         encoder = ExplicitEncoder(k, code.n, tuple(table))
-        witnesses = tuple(candidates[masks[mi]] for mi in chosen)
+        witnesses = tuple(_block_positions(code.n, candidates[masks[mi]])
+                          for mi in chosen)
         report = verify_pir(
             encoder, 3, mu=1,
             witnesses={j + 1: [frozenset(s) for s in witnesses[j]] for j in range(k)},
@@ -515,11 +505,13 @@ class _Checkpoint:
             return
         try:
             with open(path, "r", encoding="ascii") as fh:
-                lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+                text = fh.read()
         except FileNotFoundError:
-            lines = []
-        except OSError as exc:
+            text = ""
+        except (OSError, UnicodeDecodeError) as exc:
             raise CheckpointError(str(exc)) from exc
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        torn = False
         if lines:
             try:
                 head = json.loads(lines[0])
@@ -533,11 +525,19 @@ class _Checkpoint:
                 )
             if head.get("problem") != problem:
                 raise CheckpointError("checkpoint belongs to a different problem")
-            for ln in lines[1:]:
+            for number, ln in enumerate(lines[1:], start=2):
                 try:
                     rec = json.loads(ln)
-                except json.JSONDecodeError:
-                    continue  # torn final write: safe to ignore
+                except json.JSONDecodeError as exc:
+                    if number < len(lines):
+                        raise CheckpointError(
+                            f"corrupt checkpoint record {number} of {len(lines)}"
+                        ) from exc
+                    # A torn final write loses only that record; cut it off so
+                    # new records start on a clean line.
+                    text = text[: text.rindex(ln)]
+                    torn = True
+                    continue
                 kind = rec.get("type")
                 if kind == "root_done":
                     self.roots_done.add(rec["root"])
@@ -548,6 +548,10 @@ class _Checkpoint:
                 elif kind == "examined":
                     self.examined[tuple(rec["values"])] = rec
         self._fh = open(path, "a", encoding="ascii")
+        if torn:
+            self._fh.truncate(len(text))
+        elif text and not text.endswith("\n"):
+            self._fh.write("\n")
         if not lines:
             self._write({"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
                          "problem": problem})

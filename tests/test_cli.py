@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pircodes.cli import main
 
 
@@ -219,6 +221,23 @@ class TestExitCodes:
         code, _, _ = run_cli("search", "codes", "--n", "5", "--size", "4",
                              "--dmin", "2", "--checkpoint", ck, capsys=capsys)
         assert code == 4
+
+    def test_threads_only_on_maxsize(self, capsys):
+        for argv in (["--threads", "2", "hamming", "check"],
+                     ["hamming", "check", "--threads", "2"],
+                     ["search", "codes", "--n", "5", "--size", "4", "--dmin", "3",
+                      "--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        code, out, _ = run_cli("--format", "json", "maxsize", "--n", "5",
+                               "--threads", "2", capsys=capsys)
+        assert code == 0 and json.loads(out)["value"] == 4
+
+    def test_open11_rejects_budget(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "open11", "--budget", "5"])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_is_2(self):
         proc = subprocess.run(

@@ -121,18 +121,13 @@ class TestImpossibilityScan:
         assert rep.verdict == "no_encoder"
         assert rep.failing_triples == 0
         assert rep.triples_checked == 1701  # all disjoint triples over 7 positions
+        assert rep.partitions_scanned == 301  # S(7,3): the partitions covering them
+        assert rep.to_jsonable()["partitions_scanned"] == 301
 
     def test_r2_encoder_exists(self):
         rep = check_no_3pir_any_encoder(2)
         assert rep.verdict == "encoder_exists"
         assert rep.counterexample == ((1,), (2,), (3,))
-
-    def test_sharded_run_matches(self):
-        seq = check_no_3pir_any_encoder(3)
-        par = check_no_3pir_any_encoder(3, threads=2)
-        assert (par.verdict, par.triples_checked, par.failing_triples) == (
-            seq.verdict, seq.triples_checked, seq.failing_triples
-        )
 
     def test_out_of_regime_rejected(self):
         with pytest.raises(UsageError):

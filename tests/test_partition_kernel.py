@@ -1,0 +1,160 @@
+"""Differential tests: the partition-only triple/component kernel against a
+reference that scans every disjoint triple of position sets.
+
+The reference lives only here.  It enumerates all unordered triples of
+pairwise disjoint nonempty position sets, finds components by pairwise
+agreement, and lists balanced unions by brute force, so it shares no code
+with `pircodes.search` beyond the public `Code` type.
+"""
+
+from itertools import combinations, product
+
+from hypothesis import example, given, settings, strategies as st
+
+from pircodes.gf2 import Code
+from pircodes.hamming import _disjoint_triple_count, build_hamming, check_no_3pir_any_encoder
+from pircodes.search import _iter_partitions, encoder_exists_3pir, recoverable_functions
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def all_disjoint_triples(n):
+    """Every unordered triple of disjoint nonempty subsets of 1..n, as
+    position-set triples, via labellings in {0,1,2,3}^n (0 = unused) whose
+    labels 1, 2, 3 first appear in that order."""
+    for labels in product(range(4), repeat=n):
+        order = [lab for i, lab in enumerate(labels) if lab and lab not in labels[:i]]
+        if order == [1, 2, 3]:
+            yield tuple(
+                frozenset(p + 1 for p, lab in enumerate(labels) if lab == b) for b in (1, 2, 3)
+            )
+
+
+def reference_components(values, n, triple):
+    """Components, as frozensets of codeword values, of "agree on some set"."""
+    masks = [sum(1 << (n - p) for p in s) for s in triple]
+    comps = []
+    unseen = set(values)
+    while unseen:
+        stack = [unseen.pop()]
+        comp = set(stack)
+        while stack:
+            v = stack.pop()
+            for u in list(unseen):
+                if any((u ^ v) & mk == 0 for mk in masks):
+                    unseen.discard(u)
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_unions(comps, half):
+    """All unions of components with `half` codewords (brute force)."""
+    out = []
+    for r in range(len(comps) + 1):
+        for pick in combinations(comps, r):
+            side = frozenset().union(*pick)
+            if len(side) == half:
+                out.append(side)
+    return out
+
+
+def half_reachable(comps, half):
+    sums = {0}
+    for c in comps:
+        sums |= {s + len(c) for s in sums}
+    return half in sums
+
+
+def reference_scan(code, max_components):
+    """(colorings, truncated) over all disjoint triples; each coloring is the
+    side of a balanced split that excludes the smallest codeword."""
+    values = code.values
+    half = len(values) // 2
+    colorings = set()
+    truncated = False
+    for triple in all_disjoint_triples(code.n):
+        comps = reference_components(values, code.n, triple)
+        if not half_reachable(comps, half):
+            continue
+        if len(comps) > max_components:
+            truncated = True
+            continue
+        for side in reference_unions(comps, half):
+            colorings.add(frozenset(values) - side if values[0] in side else side)
+    return colorings, truncated
+
+
+@st.composite
+def small_codes(draw):
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, min(4, n)))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << k,
+                          max_size=1 << k, unique=True))
+    return Code.from_values(n, words)
+
+
+@SETTINGS
+@given(code=small_codes(), max_components=st.integers(1, 6))
+@example(code=Code.from_strings(["000", "111"]), max_components=1)  # truncated
+@example(code=Code.from_strings(["000001", "010110", "101011", "111100"]),
+         max_components=3)  # truncated, with colorings on other triples
+def test_partitions_match_all_triples(code, max_components):
+    ref_colorings, ref_truncated = reference_scan(code, max_components)
+    colorings = set()
+    truncated = False
+    for rec in recoverable_functions(code, max_components=max_components):
+        colorings |= {frozenset(c) for c in rec.colorings}
+        truncated |= rec.truncated
+    assert truncated == ref_truncated
+    # Every partition is itself a triple, so its colorings are always found
+    # by the reference; without truncation nothing is missing either.
+    assert colorings <= ref_colorings
+    if not truncated:
+        assert colorings == ref_colorings
+        res = encoder_exists_3pir(code, max_components=max_components)
+        assert res.candidates == len(ref_colorings)
+        assert res.status != "unknown"
+
+
+def reference_hamming(r):
+    """(verdict, max_components) of the full-triple Hamming scan."""
+    code = build_hamming(r).code()
+    values = code.values
+    all_one = (1 << code.n) - 1
+    half = len(values) // 2
+    failing = 0
+    max_components = 0
+    for triple in all_disjoint_triples(code.n):
+        comps = reference_components(values, code.n, triple)
+        max_components = max(max_components, len(comps))
+        if any({v ^ all_one for v in side} != side
+               for side in reference_unions(comps, half)):
+            failing += 1
+    if failing == 0:
+        return "no_encoder", max_components
+    return ("encoder_exists" if r == 2 else "inconclusive"), max_components
+
+
+def test_hamming_scan_matches_all_triples():
+    for r in (2, 3):
+        report = check_no_3pir_any_encoder(r)
+        assert (report.verdict, report.max_components) == reference_hamming(r)
+
+
+def test_triple_count_closed_form():
+    for n in range(3, 8):
+        assert sum(1 for _ in all_disjoint_triples(n)) == _disjoint_triple_count(n)
+
+
+def test_partitions_are_the_set_partitions_into_three_blocks():
+    for n in range(3, 9):
+        parts = list(_iter_partitions(n))
+        assert len(parts) == (3**n - 3 * 2**n + 3) // 6  # S(n,3)
+        assert len(set(parts)) == len(parts)
+        for a, b, c in parts:
+            assert a and b and c and not (a & b or a & c or b & c)
+            assert a | b | c == (1 << n) - 1
+            # blocks ordered by smallest position: position 1 is the top bit
+            assert a.bit_length() > b.bit_length() > c.bit_length()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -196,6 +197,40 @@ class TestSearchCodes:
         list(search_codes(5, 4, 3, checkpoint=ck))
         with pytest.raises(CheckpointError):
             list(search_codes(5, 4, 2, checkpoint=ck))
+
+    def test_checkpoint_corrupt_middle_record_rejected(self, tmp_path):
+        ck = tmp_path / "search.ckpt"
+        list(search_codes(5, 4, 3, checkpoint=str(ck)))
+        lines = ck.read_text().splitlines()
+        assert len(lines) >= 3
+        lines[1] = lines[1][:-3]  # damage a record that is not the last
+        ck.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="corrupt checkpoint record 2"):
+            list(search_codes(5, 4, 3, checkpoint=str(ck)))
+
+    def test_checkpoint_torn_last_record_tolerated(self, tmp_path):
+        ck = tmp_path / "search.ckpt"
+        full = [c.values for c in search_codes(6, 4, 3)]
+        stats = SearchStats()
+        list(search_codes(6, 4, 3, budget=40, checkpoint=str(ck), stats=stats))
+        assert not stats.complete
+        with open(ck, "a", encoding="ascii") as fh:
+            fh.write('{"type": "code", "val')  # write cut short
+        resumed = [c.values for c in search_codes(6, 4, 3, checkpoint=str(ck))]
+        assert sorted(resumed) == sorted(full)
+        # The torn line was cut off, so later records stay readable.
+        for line in ck.read_text().splitlines():
+            json.loads(line)
+
+    def test_checkpoint_record_without_newline_kept(self, tmp_path):
+        ck = tmp_path / "search.ckpt"
+        full = [c.values for c in search_codes(6, 4, 3)]
+        list(search_codes(6, 4, 3, budget=40, checkpoint=str(ck)))
+        ck.write_text(ck.read_text().rstrip("\n"))  # write cut before its newline
+        resumed = [c.values for c in search_codes(6, 4, 3, checkpoint=str(ck))]
+        assert sorted(resumed) == sorted(full)
+        for line in ck.read_text().splitlines():
+            json.loads(line)
 
     def test_exhaustive_n6_m8(self):
         out = list(search_codes(6, 8, 3))
