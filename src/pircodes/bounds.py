@@ -5,9 +5,11 @@ A2(n,d) is the maximum clique in the graph on all 2^n words with edges
 between words at distance >= d.  The search pins the zero word (the graph
 is translation-invariant) and branches on the weight class of the smallest
 nonzero clique member, which any coordinate permutation can normalize to
-the word 0..01..1 of that weight; inside a branch it runs greedy-coloring
-branch and bound over int bitmasks.  Values at n >= 9 are served from a
-reference table and flagged as literature data, never claimed as computed.
+the word 0..01..1 of that weight; inside a branch it runs the
+greedy-coloring branch and bound of `clique` on vertex indices of the
+words in (weight, value) order, and maps the indices back to words.
+Values at n >= 9 are served from a reference table and flagged as
+literature data, never claimed as computed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .budget import Budget, ensure_budget
+from .clique import CliqueSearch
 from .constructions import build_pir3
 from .errors import UsageError
 from .gf2 import Code, LinearCode, min_distance
@@ -41,6 +44,9 @@ REFERENCE_A2 = {3: 2, 4: 2, 5: 4, 6: 8, 7: 16, 8: 20, 9: 40, 10: 72, 11: 144, 12
 # Largest length computed exactly by default; beyond it the reference table
 # answers unless force_compute is set.
 COMPUTED_A2_MAX_N = 8
+
+# Seeded restarts of the local search that sets the first incumbent.
+INCUMBENT_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,12 @@ def _greedy_clique(order: Sequence[int], adj: dict[int, set[int]]) -> list[int]:
     return clique
 
 
-def _initial_incumbent(vertices: list[int], adj: dict[int, set[int]], rounds: int) -> list[int]:
+def _initial_incumbent(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
     """Seeded greedy restarts with swap improvement and plateau kicks."""
     import random
 
     best: list[int] = []
-    for s in range(rounds):
+    for s in range(INCUMBENT_ROUNDS):
         rng = random.Random(f"a2-seed:{s}")
         order = vertices[:]
         rng.shuffle(order)
@@ -161,118 +167,16 @@ class _CliqueGraph:
         return [u for u in self.words if self.adj_mask[self.index[u]] >> i & 1]
 
 
-class _CliqueSearch:
-    """Greedy-coloring branch and bound over int bitmask candidate sets."""
-
-    def __init__(self, graph: _CliqueGraph, budget: Budget,
-                 progress: Callable[[str], None] | None = None):
-        self.g = graph
-        self.budget = budget
-        self.progress = progress
-        self.best_size = 0
-        self.best_clique: list[int] = []
-        self.nodes = 0
-        self.aborted = False
-
-    def seed(self, size: int, clique: list[int]) -> None:
-        if size > self.best_size:
-            self.best_size = size
-            self.best_clique = sorted(clique)
-
-    def _color_order(self, cand: int, kmin: int) -> list[tuple[int, int]]:
-        """Greedy clique-cover classes by bitmask sweeps, with a relocation
-        pass: a vertex about to receive a color above the prune threshold
-        kmin is moved below it when its single conflict in some low class
-        can hop to another low class.  Output is grouped by ascending color."""
-        adj = self.g.adj_mask
-        classes: list[int] = []
-        uncolored = cand
-        while uncolored:
-            avail = uncolored
-            members = 0
-            while avail:
-                low = avail & -avail
-                members |= low
-                avail &= ~adj[low.bit_length() - 1]
-                avail ^= low
-            uncolored &= ~members
-            if 0 < kmin <= len(classes):
-                kept = 0
-                rest = members
-                limit = min(kmin, len(classes))
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    v = low.bit_length() - 1
-                    moved = False
-                    for c1 in range(limit):
-                        conflict = adj[v] & classes[c1]
-                        if conflict.bit_count() != 1:
-                            continue
-                        w = conflict.bit_length() - 1
-                        for c2 in range(limit):
-                            if c2 != c1 and not (adj[w] & classes[c2]):
-                                classes[c2] |= conflict
-                                classes[c1] = (classes[c1] ^ conflict) | low
-                                moved = True
-                                break
-                        if moved:
-                            break
-                    if not moved:
-                        kept |= low
-                members = kept
-            if members:
-                classes.append(members)
-        return classes
-
-    def expand(self, current: list[int], cand: int) -> None:
-        if self.aborted:
-            return
-        adj = self.g.adj_mask
-        live = cand
-        depth = len(current)
-        kmin = self.best_size - depth
-        classes = self._color_order(cand, kmin)
-        # Only vertices colored above the prune threshold ever get branched.
-        for color in range(len(classes), max(kmin, 0), -1):
-            cls = classes[color - 1]
-            while cls:
-                if depth + color <= self.best_size:
-                    return  # threshold moved while descending this node
-                low = cls & -cls
-                cls ^= low
-                v = low.bit_length() - 1
-                if not self.budget.spend():
-                    self.aborted = True
-                    return
-                self.nodes += 1
-                current.append(v)
-                nxt = live & adj[v]
-                if nxt:
-                    self.expand(current, nxt)
-                elif len(current) > self.best_size:
-                    self.best_size = len(current)
-                    self.best_clique = sorted(self.g.words[i] for i in current)
-                    if self.progress is not None:
-                        self.progress(f"clique={self.best_size} nodes={self.nodes}")
-                current.pop()
-                live &= ~low
-                if self.aborted:
-                    return
-
-    def run_weight_branch(self, w: int) -> None:
-        """Cliques through 0 whose least nonzero member has weight w,
-        normalized by a coordinate permutation to the word 0..01..1."""
-        g = self.g
-        vrep = (1 << w) - 1
-        zero_idx = g.index[0]
-        i_rep = g.index[vrep]
-        if not (g.adj_mask[zero_idx] >> i_rep) & 1:
-            return
-        cand = g.adj_mask[i_rep] & g.adj_mask[zero_idx]
-        cand &= ~((1 << (i_rep + 1)) - 1)  # only members after the class seed
-        self.seed(2, [0, vrep])
-        self.expand([zero_idx, i_rep], cand)
+def _weight_branch(search: CliqueSearch, g: _CliqueGraph, w: int) -> None:
+    """Cliques through 0 whose least nonzero member has weight w,
+    normalized by a coordinate permutation to the word 0..01..1."""
+    zero_idx = g.index[0]
+    i_rep = g.index[(1 << w) - 1]
+    if not (g.adj_mask[zero_idx] >> i_rep) & 1:
+        return
+    cand = g.adj_mask[i_rep] & g.adj_mask[zero_idx]
+    cand &= ~((1 << (i_rep + 1)) - 1)  # only members after the class seed
+    search.expand([zero_idx, i_rep], cand)
 
 
 def _second_vertex_worker(args):
@@ -281,7 +185,7 @@ def _second_vertex_worker(args):
     graph = _CliqueGraph(n, d)
     adj = graph.adj_mask
     zero_idx = graph.index[0]
-    search = _CliqueSearch(graph, Budget(limit))
+    search = CliqueSearch(adj, Budget(limit))
     search.best_size = seed_size  # prune threshold from the parent's incumbent
     for i_rep, i_u in tasks:
         cand = adj[i_rep] & adj[zero_idx] & adj[i_u]
@@ -289,7 +193,8 @@ def _second_vertex_worker(args):
         search.expand([zero_idx, i_rep, i_u], cand)
         if search.aborted:
             break
-    improved = search.best_clique if search.best_size > seed_size else None
+    improved = (sorted(graph.words[i] for i in search.best_clique)
+                if search.best_size > seed_size else None)
     return (search.best_size, improved, search.nodes, not search.aborted)
 
 
@@ -298,7 +203,6 @@ def max_code_size(
     d: int = 3,
     budget: Budget | int | None = None,
     force_compute: bool = False,
-    incumbent_rounds: int = 60,
     threads: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> A2Entry:
@@ -328,7 +232,7 @@ def max_code_size(
     adj_sets = {
         w: set(graph.neighbors_of(w)) for w in graph.words
     }
-    incumbent = _initial_incumbent(graph.words, adj_sets, incumbent_rounds)
+    incumbent = _initial_incumbent(graph.words, adj_sets)
 
     branches = list(range(d, n + 1))
     if threads > 1:
@@ -336,7 +240,6 @@ def max_code_size(
 
         zero_idx = graph.index[0]
         tasks: list[tuple[int, int]] = []
-        seed2 = 2
         for w in branches:
             i_rep = graph.index[(1 << w) - 1]
             cand = graph.adj_mask[i_rep] & graph.adj_mask[zero_idx]
@@ -346,11 +249,11 @@ def max_code_size(
                 tasks.append((i_rep, low.bit_length() - 1))
                 cand ^= low
         chunks = [tasks[i::threads] for i in range(threads)]
-        args = [(n, d, chunk, max(len(incumbent), seed2), budget.limit)
+        args = [(n, d, chunk, len(incumbent), budget.limit)
                 for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_second_vertex_worker, args))
-        best_size = max(len(incumbent), seed2)
+        best_size = len(incumbent)
         best_clique = sorted(incumbent)
         nodes = 0
         complete = True
@@ -363,17 +266,17 @@ def max_code_size(
                 best_clique = clique
         budget.used += nodes
     else:
-        search = _CliqueSearch(graph, budget, progress)
-        search.seed(len(incumbent), incumbent)
+        search = CliqueSearch(graph.adj_mask, budget, progress)
+        search.seed(len(incumbent), [graph.index[w] for w in incumbent])
         for w in branches:
-            search.run_weight_branch(w)
+            _weight_branch(search, graph, w)
             if progress is not None:
                 progress(f"weight-class {w} done; best={search.best_size} "
                          f"nodes={search.nodes}")
             if search.aborted:
                 break
         best_size = search.best_size
-        best_clique = search.best_clique
+        best_clique = sorted(graph.words[i] for i in search.best_clique)
         nodes = search.nodes
         complete = not search.aborted
 

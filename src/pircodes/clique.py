@@ -1,0 +1,131 @@
+"""The maximum-clique branch and bound shared by A2(n,d) and pair packings.
+
+A graph is a list of int adjacency bitmasks over vertex indices, so a
+candidate set meets a neighbourhood in one ``&``.  Each node colours its
+candidates greedily into clique-cover classes (Tomita et al., WALCOM 2010)
+and never branches on a vertex whose colour plus the depth cannot beat the
+incumbent.  The colouring sweeps from the lowest index up and branching
+starts at the highest colour, so the caller's index order steers the search.
+Callers build the graph, pin their symmetry-breaking vertices as the
+starting clique, and map the indices of ``best_clique`` back.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from .budget import Budget
+
+__all__ = ["CliqueSearch"]
+
+
+class CliqueSearch:
+    """Greedy-coloring branch and bound over int bitmask candidate sets.
+
+    Every branch spends one budget node; ``aborted`` means the budget ran
+    out.  With ``stop_at`` set, the search also stops (without aborting) as
+    soon as it holds a clique of that many vertices.
+    """
+
+    def __init__(self, adj: Sequence[int], budget: Budget,
+                 progress: Callable[[str], None] | None = None,
+                 stop_at: int | None = None):
+        self.adj = adj
+        self.budget = budget
+        self.progress = progress
+        self.stop_at = stop_at
+        self.best_size = 0
+        self.best_clique: list[int] = []
+        self.nodes = 0
+        self.aborted = False
+        self.halted = False  # aborted, or a clique of stop_at vertices found
+
+    def seed(self, size: int, clique: list[int]) -> None:
+        if size > self.best_size:
+            self.best_size = size
+            self.best_clique = sorted(clique)
+
+    def _color_order(self, cand: int, kmin: int) -> list[int]:
+        """Greedy clique-cover classes by bitmask sweeps, with a relocation
+        pass: a vertex about to receive a color above the prune threshold
+        kmin is moved below it when its single conflict in some low class
+        can hop to another low class.  Output is grouped by ascending color."""
+        adj = self.adj
+        classes: list[int] = []
+        uncolored = cand
+        while uncolored:
+            avail = uncolored
+            members = 0
+            while avail:
+                low = avail & -avail
+                members |= low
+                avail &= ~adj[low.bit_length() - 1]
+                avail ^= low
+            uncolored &= ~members
+            if 0 < kmin <= len(classes):
+                kept = 0
+                rest = members
+                limit = min(kmin, len(classes))
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    moved = False
+                    for c1 in range(limit):
+                        conflict = adj[v] & classes[c1]
+                        if conflict.bit_count() != 1:
+                            continue
+                        w = conflict.bit_length() - 1
+                        for c2 in range(limit):
+                            if c2 != c1 and not (adj[w] & classes[c2]):
+                                classes[c2] |= conflict
+                                classes[c1] = (classes[c1] ^ conflict) | low
+                                moved = True
+                                break
+                        if moved:
+                            break
+                    if not moved:
+                        kept |= low
+                members = kept
+            if members:
+                classes.append(members)
+        return classes
+
+    def expand(self, current: list[int], cand: int) -> None:
+        """Extend the clique `current` by vertices of `cand`, all of which
+        must be adjacent to every member of `current`."""
+        if self.halted:
+            return
+        adj = self.adj
+        live = cand
+        depth = len(current)
+        kmin = self.best_size - depth
+        classes = self._color_order(cand, kmin)
+        # Only vertices colored above the prune threshold ever get branched.
+        for color in range(len(classes), max(kmin, 0), -1):
+            cls = classes[color - 1]
+            while cls:
+                if depth + color <= self.best_size:
+                    return  # threshold moved while descending this node
+                low = cls & -cls
+                cls ^= low
+                v = low.bit_length() - 1
+                if not self.budget.spend():
+                    self.aborted = self.halted = True
+                    return
+                self.nodes += 1
+                current.append(v)
+                nxt = live & adj[v]
+                if nxt:
+                    self.expand(current, nxt)
+                elif len(current) > self.best_size:
+                    self.best_size = len(current)
+                    self.best_clique = sorted(current)
+                    if self.progress is not None:
+                        self.progress(f"clique={self.best_size} nodes={self.nodes}")
+                    if self.stop_at is not None and self.best_size >= self.stop_at:
+                        self.halted = True
+                current.pop()
+                live &= ~low
+                if self.halted:
+                    return

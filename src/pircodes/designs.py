@@ -1,8 +1,13 @@
 """Packing designs: validation, the (r,4,2) packing-number formula, and
-pair-packing constructors (greedy lower bounds and exact backtracking).
+pair-packing constructors (greedy lower bounds and an exact decision).
 
 Constructors are specialized to strength 2 with lambda = 1, the only case
 the PIR constructions consume; `is_packing` validates general parameters.
+
+A pair packing is a clique in the graph on all blocks, two blocks adjacent
+when they share at most one point: past a greedy shortcut and a counting
+bound, `exact_packing` runs the `clique` engine on it with {1..blocksize}
+pinned and the blocks in reverse-lexicographic order (see its docstring).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .budget import Budget, ensure_budget
+from .clique import CliqueSearch
 from .errors import FileFormatError, UsageError
 
 __all__ = [
@@ -149,12 +155,24 @@ def exact_packing(
 ) -> ExactPackingResult:
     """Decide whether a pair-packing with `target` blocks exists.
 
-    Backtracking over blocks in lexicographic order with the first block
-    pinned to {1..blocksize} (any packing can be relabeled that way), a
-    point-degree counting bound, and, when the remaining blocks must cover
-    every remaining pair, the forced rule that the next block starts at the
-    lowest point that still has uncovered pairs.  "impossible" requires the
-    search to have exhausted all branches within budget.
+    The lexicographic greedy packing answers first when it is big enough.
+    A counting bound then settles some instances at zero nodes: a point
+    lies in at most floor((v-1)/(blocksize-1)) blocks, so a packing has at
+    most floor(v * floor((v-1)/(blocksize-1)) / blocksize) of them.
+
+    Otherwise the clique engine looks for `target` blocks that pairwise
+    share at most one point.  The block {1..blocksize} is pinned (any
+    packing can be relabeled to contain it) and the threshold starts at
+    target - 1, so the colouring bound prunes every branch that cannot
+    reach `target`, and the search stops at the first clique that does.
+    The engine branches first on high indices; with the blocks indexed in
+    reverse-lexicographic order, it grows the design from the pinned block
+    through the lowest points (indexed lexicographically, (14,4,14) takes
+    783,621 nodes instead of 74).
+
+    A found design lists its blocks in lexicographic order, starting with
+    {1..blocksize}.  "impossible" requires the search to have exhausted all
+    branches within budget; a cut search reports "unknown".
     """
     if not 2 <= blocksize <= v:
         raise UsageError("need 2 <= blocksize <= v")
@@ -166,84 +184,30 @@ def exact_packing(
     if greedy.num_blocks >= target:
         design = PackingDesign(v, blocksize, 2, 1, greedy.blocks[:target])
         return ExactPackingResult(FOUND, design, budget.used)
+    if v * ((v - 1) // (blocksize - 1)) // blocksize < target:
+        return ExactPackingResult(IMPOSSIBLE, None, budget.used)
 
-    cands = list(combinations(range(1, v + 1), blocksize))
-    pairmasks = [_block_pairmask(v, b) for b in cands]
-    # Blocks sharing a first point are contiguous in lex order.
-    first_range: dict[int, tuple[int, int]] = {}
-    for idx, b in enumerate(cands):
-        p = b[0]
-        lo, _ = first_range.get(p, (idx, idx))
-        first_range[p] = (lo, idx + 1)
+    cands = list(combinations(range(1, v + 1), blocksize))[::-1]
+    containing = [0] * (v * (v - 1) // 2)  # per pair: the blocks holding it
+    for idx, block in enumerate(cands):
+        for p, q in combinations(block, 2):
+            containing[_pair_index(v, p, q)] |= 1 << idx
+    everything = (1 << len(cands)) - 1
+    adj = []
+    for block in cands:
+        conflicts = 0
+        for p, q in combinations(block, 2):
+            conflicts |= containing[_pair_index(v, p, q)]
+        adj.append(everything & ~conflicts)
 
-    ppb = blocksize * (blocksize - 1) // 2
-    total_pairs = v * (v - 1) // 2
-    deg = [v - 1] * (v + 1)  # uncovered-pair degree per point; index 0 unused
-    chosen: list[int] = []
-    covered = 0
-    uncovered = total_pairs
-    cut = False
-
-    def degree_bound() -> int:
-        cap = sum(deg[p] // (blocksize - 1) for p in range(1, v + 1))
-        return cap // blocksize
-
-    def place(idx: int, delta: int) -> None:
-        nonlocal covered, uncovered
-        block = cands[idx]
-        for p in block:
-            deg[p] += delta * -(blocksize - 1)
-        if delta > 0:
-            covered |= pairmasks[idx]
-            uncovered -= ppb
-        else:
-            covered &= ~pairmasks[idx]
-            uncovered += ppb
-
-    def search(start: int, remaining: int) -> bool:
-        nonlocal cut
-        if remaining == 0:
-            return True
-        if degree_bound() < remaining:
-            return False
-        lo, hi = start, len(cands)
-        slack = uncovered - remaining * ppb
-        if slack < 0:
-            return False
-        active = [p for p in range(1, v + 1) if deg[p] > 0]
-        if active and deg[active[0]] > slack:
-            # Every remaining block's first point still has uncovered pairs,
-            # so when point `a` must appear again the next block starts at it.
-            a = active[0]
-            if a in first_range:
-                flo, fhi = first_range[a]
-                lo, hi = max(lo, flo), fhi
-            else:
-                return False
-        for idx in range(lo, hi):
-            if pairmasks[idx] & covered:
-                continue
-            if not budget.spend():
-                cut = True
-                return False
-            chosen.append(idx)
-            place(idx, 1)
-            if search(idx + 1, remaining - 1):
-                return True
-            place(idx, -1)
-            chosen.pop()
-            if cut:
-                return False
-        return False
-
-    # Symmetry: relabel so the lexicographically least block is {1..blocksize}.
-    place(0, 1)
-    chosen.append(0)
-    ok = search(1, target - 1)
-    if ok:
-        blocks = tuple(cands[i] for i in chosen)
+    pinned = len(cands) - 1  # the block {1..blocksize}
+    search = CliqueSearch(adj, budget, stop_at=target)
+    search.best_size = target - 1
+    search.expand([pinned], adj[pinned])
+    if search.best_size >= target:
+        blocks = tuple(sorted(cands[i] for i in search.best_clique)[:target])
         return ExactPackingResult(FOUND, PackingDesign(v, blocksize, 2, 1, blocks), budget.used)
-    if cut:
+    if search.aborted:
         return ExactPackingResult(UNKNOWN, None, budget.used)
     return ExactPackingResult(IMPOSSIBLE, None, budget.used)
 

@@ -601,6 +601,18 @@ def search_codes(
     streams.  A checkpoint file makes either mode resumable with the same
     overall result set.
     """
+    problem = _search_problem(n, size, dmin, mode, seed)
+    ck = _Checkpoint(checkpoint, problem)
+    try:
+        yield from _code_stream(ck, n, size, dmin, mode, seed, ensure_budget(budget),
+                                limit, restarts,
+                                stats if stats is not None else SearchStats(), progress)
+    finally:
+        ck.close()
+
+
+def _search_problem(n: int, size: int, dmin: int, mode: str, seed: int) -> dict:
+    """Validate a code-search request; return its checkpoint problem."""
     if mode not in ("exhaustive", "heuristic"):
         raise UsageError(f"unknown mode {mode!r}")
     if not 1 <= size <= 1 << n:
@@ -611,39 +623,38 @@ def search_codes(
         warnings.warn(
             f"requested size {size} exceeds the maximum {REFERENCE_A2[n]} for "
             f"length {n} at distance 3; the stream will be empty",
-            stacklevel=2,
+            stacklevel=3,
         )
-    stats = stats if stats is not None else SearchStats()
-    problem = {"n": n, "size": size, "dmin": dmin, "mode": mode,
-               "seed": seed if mode == "heuristic" else None}
-    ck = _Checkpoint(checkpoint, problem)
+    return {"n": n, "size": size, "dmin": dmin, "mode": mode,
+            "seed": seed if mode == "heuristic" else None}
+
+
+def _code_stream(ck: _Checkpoint, n: int, size: int, dmin: int, mode: str, seed: int,
+                 budget: Budget, limit: int | None, restarts: int, stats: SearchStats,
+                 progress: Callable[[str], None] | None) -> Iterator[Code]:
+    """The codes of search_codes, resumed from and recorded in `ck`."""
     emitted: set[tuple[int, ...]] = set()
-    try:
-        for values in ck.codes:
-            if values not in emitted:
-                emitted.add(values)
-                stats.emitted += 1
-                yield Code(n, values)
-                if limit is not None and stats.emitted >= limit:
-                    return
-        if mode == "exhaustive":
-            gen = _orderly_generation(n, size, dmin, ensure_budget(budget), ck,
-                                      stats, progress)
-        else:
-            gen = _heuristic_generation(n, size, dmin, seed, restarts, ck,
-                                        stats, progress)
-        for code in gen:
-            key = code.values
-            if key in emitted:
-                continue
-            emitted.add(key)
-            ck.record_code(key)
+    for values in ck.codes:
+        if values not in emitted:
+            emitted.add(values)
             stats.emitted += 1
-            yield code
+            yield Code(n, values)
             if limit is not None and stats.emitted >= limit:
                 return
-    finally:
-        ck.close()
+    if mode == "exhaustive":
+        gen = _orderly_generation(n, size, dmin, budget, ck, stats, progress)
+    else:
+        gen = _heuristic_generation(n, size, dmin, seed, restarts, ck, stats, progress)
+    for code in gen:
+        key = code.values
+        if key in emitted:
+            continue
+        emitted.add(key)
+        ck.record_code(key)
+        stats.emitted += 1
+        yield code
+        if limit is not None and stats.emitted >= limit:
+            return
 
 
 def _orderly_generation(
@@ -810,33 +821,23 @@ def pir_hunt(
     functions are logged as candidates worth revisiting.
     """
     start = time.monotonic()
-    problem = {"n": n, "size": size, "dmin": dmin, "mode": mode,
-               "seed": seed if mode == "heuristic" else None}
-    ck = _Checkpoint(checkpoint, problem)
-    ck.close()  # reuse only the examined records here; search reopens it
-    examined_cache = ck.examined
-
+    problem = _search_problem(n, size, dmin, mode, seed)
     report = HuntReport(n, size, dmin, 0, 0, 0, witness_threshold, [], [],
                         0.0, True)
-    stats = SearchStats()
-    stream = search_codes(n, size, dmin, mode=mode, seed=seed,
-                          checkpoint=checkpoint, limit=max_codes,
-                          restarts=restarts, stats=stats, progress=progress)
-    record_ck = _Checkpoint(checkpoint, problem) if checkpoint else None
+    ck = _Checkpoint(checkpoint, problem)
     try:
+        stream = _code_stream(ck, n, size, dmin, mode, seed, Budget(None), max_codes,
+                              restarts, SearchStats(), progress)
         for code in stream:
             key = code.values
-            cached = examined_cache.get(key)
-            if cached is not None:
-                outcome = cached
-            else:
+            outcome = ck.examined.get(key)
+            if outcome is None:
                 res = encoder_exists_3pir(code, budget=per_code_budget)
                 outcome = {"status": res.status, "best_depth": res.best_depth,
                            "nodes": res.nodes}
                 if res.status == FOUND:
                     outcome["encoder"] = list(res.encoder.codewords)
-                if record_ck is not None:
-                    record_ck.record_examined(key, outcome)
+                ck.record_examined(key, outcome)
             report.codes_examined += 1
             report.best_depth = max(report.best_depth, outcome["best_depth"])
             if outcome["status"] == UNKNOWN:
@@ -855,8 +856,7 @@ def pir_hunt(
                     f"examined={report.codes_examined} found={report.encoders_found}"
                 )
     finally:
-        if record_ck is not None:
-            record_ck.close()
+        ck.close()
     report.elapsed = time.monotonic() - start
     return report
 

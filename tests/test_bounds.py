@@ -63,9 +63,15 @@ class TestMaxCodeSize:
         assert not entry.complete
 
     def test_budget_cut_incomplete(self):
-        entry = max_code_size(7, 3, budget=Budget(10), incumbent_rounds=1)
+        entry = max_code_size(7, 3, budget=Budget(10))
         assert not entry.complete
         assert entry.value <= 16
+
+    def test_length_below_distance_single_word(self):
+        # no word pair reaches distance 5 at length 3; both paths must agree
+        for threads in (1, 2):
+            entry = max_code_size(3, 5, threads=threads)
+            assert (entry.value, entry.witness, entry.complete) == (1, (0,), True)
 
     def test_monotone_in_n(self):
         values = []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import pircodes.search as search_module
 from pircodes.budget import Budget
 from pircodes.errors import CheckpointError, UsageError
 from pircodes.gf2 import Code, LinearCode, min_distance
@@ -280,3 +281,19 @@ class TestHuntPipeline:
                         checkpoint=ck)
         assert rep1.encoders_found == rep2.encoders_found == 1
         assert rep1.codes_examined == rep2.codes_examined == 1
+
+    def test_hunt_opens_one_checkpoint(self, tmp_path, monkeypatch):
+        opened = []
+
+        class CountingCheckpoint(search_module._Checkpoint):
+            def __init__(self, path, problem):
+                opened.append(path)
+                super().__init__(path, problem)
+
+        monkeypatch.setattr(search_module, "_Checkpoint", CountingCheckpoint)
+        ck = str(tmp_path / "hunt.ckpt")
+        pir_hunt(5, 4, 3, seed=1, max_codes=1, restarts=50, checkpoint=ck)
+        assert opened == [ck]
+        with open(ck, encoding="ascii") as fh:
+            kinds = [json.loads(ln).get("type") for ln in fh]
+        assert kinds.count("code") == kinds.count("examined") == 1
