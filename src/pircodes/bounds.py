@@ -8,6 +8,12 @@ nonzero clique member, which any coordinate permutation can normalize to
 the word 0..01..1 of that weight; inside a branch it runs the
 greedy-coloring branch and bound of `clique` on vertex indices of the
 words in (weight, value) order, and maps the indices back to words.
+The search starts from the pair {0, 0..01..1 of weight d} (from {0} when
+n < d), which it must be given because the engine records only cliques it
+branches to.  No heuristic incumbent is needed: branching from the highest
+colour dives to a large clique at once (A2(8,3) holds 20 after 5,741
+nodes), and the colouring bound prunes from there.  Serial and parallel
+calls spend at most what is left of one budget (see `max_code_size`).
 Values at n >= 9 are served from a reference table and flagged as
 literature data, never claimed as computed.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .budget import Budget, ensure_budget
 from .clique import CliqueSearch
@@ -44,9 +50,6 @@ REFERENCE_A2 = {3: 2, 4: 2, 5: 4, 6: 8, 7: 16, 8: 20, 9: 40, 10: 72, 11: 144, 12
 # Largest length computed exactly by default; beyond it the reference table
 # answers unless force_compute is set.
 COMPUTED_A2_MAX_N = 8
-
-# Seeded restarts of the local search that sets the first incumbent.
-INCUMBENT_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -101,48 +104,6 @@ class A2Entry:
         }
 
 
-def _greedy_clique(order: Sequence[int], adj: dict[int, set[int]]) -> list[int]:
-    clique: list[int] = []
-    for v in order:
-        if all(u in adj[v] for u in clique):
-            clique.append(v)
-    return clique
-
-
-def _initial_incumbent(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
-    """Seeded greedy restarts with swap improvement and plateau kicks."""
-    import random
-
-    best: list[int] = []
-    for s in range(INCUMBENT_ROUNDS):
-        rng = random.Random(f"a2-seed:{s}")
-        order = vertices[:]
-        rng.shuffle(order)
-        clique = _greedy_clique(order, adj)
-        for _ in range(25):
-            improved = False
-            sample = vertices[:]
-            rng.shuffle(sample)
-            for w in sample:
-                nonneighbors = [c for c in clique if c not in adj[w]]
-                if not nonneighbors:
-                    if w not in clique:
-                        clique.append(w)
-                        improved = True
-                elif len(nonneighbors) == 1 and nonneighbors[0] != w and rng.random() < 0.5:
-                    clique.remove(nonneighbors[0])
-                    clique.append(w)
-                    improved = True
-            if len(clique) > len(best):
-                best = clique[:]
-            if not improved:
-                for _ in range(min(3, len(clique))):
-                    clique.pop(rng.randrange(len(clique)))
-        if len(clique) > len(best):
-            best = clique[:]
-    return best
-
-
 class _CliqueGraph:
     """Distance->=d graph on all words of length n, ordered by (weight, value)."""
 
@@ -162,18 +123,12 @@ class _CliqueGraph:
                     adj_mask[j] |= 1 << i
         self.adj_mask = adj_mask
 
-    def neighbors_of(self, w: int) -> list[int]:
-        i = self.index[w]
-        return [u for u in self.words if self.adj_mask[self.index[u]] >> i & 1]
-
 
 def _weight_branch(search: CliqueSearch, g: _CliqueGraph, w: int) -> None:
-    """Cliques through 0 whose least nonzero member has weight w,
+    """Cliques through 0 whose least nonzero member has weight w >= d,
     normalized by a coordinate permutation to the word 0..01..1."""
     zero_idx = g.index[0]
     i_rep = g.index[(1 << w) - 1]
-    if not (g.adj_mask[zero_idx] >> i_rep) & 1:
-        return
     cand = g.adj_mask[i_rep] & g.adj_mask[zero_idx]
     cand &= ~((1 << (i_rep + 1)) - 1)  # only members after the class seed
     search.expand([zero_idx, i_rep], cand)
@@ -181,21 +136,22 @@ def _weight_branch(search: CliqueSearch, g: _CliqueGraph, w: int) -> None:
 
 def _second_vertex_worker(args):
     """Run a chunk of (class seed, second vertex) subtrees in one process."""
-    n, d, tasks, seed_size, limit = args
+    n, d, tasks, limit = args
     graph = _CliqueGraph(n, d)
     adj = graph.adj_mask
     zero_idx = graph.index[0]
     search = CliqueSearch(adj, Budget(limit))
-    search.best_size = seed_size  # prune threshold from the parent's incumbent
     for i_rep, i_u in tasks:
+        # expand records only cliques it branches to: the pinned triple is
+        # a clique even when no vertex extends it
+        search.seed(3, [zero_idx, i_rep, i_u])
         cand = adj[i_rep] & adj[zero_idx] & adj[i_u]
         cand &= ~((1 << (i_u + 1)) - 1)
         search.expand([zero_idx, i_rep, i_u], cand)
         if search.aborted:
             break
-    improved = (sorted(graph.words[i] for i in search.best_clique)
-                if search.best_size > seed_size else None)
-    return (search.best_size, improved, search.nodes, not search.aborted)
+    clique = sorted(graph.words[i] for i in search.best_clique)
+    return (search.best_size, clique, search.nodes, not search.aborted)
 
 
 def max_code_size(
@@ -210,15 +166,24 @@ def max_code_size(
 
     Exact branch-and-bound for n <= COMPUTED_A2_MAX_N (or always with
     force_compute); larger lengths answer from the reference table, flagged
-    as such.  A budget cut downgrades the result to a lower-bound witness
-    with complete=False.  With threads > 1 the weight-class branches run in
-    separate processes (the budget limit then applies per branch) and the
-    exact verdict requires every branch to complete.
+    as such.  The search starts from the pair {0, 0..01..1} at distance d
+    (from {0} when n < d) and finds its own larger cliques; the colouring
+    bound prunes well once the first deep dive has set an incumbent.
+
+    Budget contract: the call's nodes never exceed what is left of the
+    limit when it starts (limit - used), serial or parallel, and are added
+    to ``budget.used``.  With threads > 1 the (weight class, second
+    vertex) subtrees run in `threads` worker processes and what is left of
+    the limit is split evenly between them; a chunk that runs out of its
+    share makes the result a lower-bound witness with complete=False, as a
+    serial cut does, even when another chunk left part of its share unused.
     """
     if n < 3:
         raise UsageError("need n >= 3")
     if d < 1:
         raise UsageError("need d >= 1")
+    if threads < 1:
+        raise UsageError("need threads >= 1")
     if not force_compute and n > COMPUTED_A2_MAX_N:
         if d == 3 and n in REFERENCE_A2:
             return A2Entry(n, REFERENCE_A2[n], "reference", None, False)
@@ -229,11 +194,7 @@ def max_code_size(
     start = time.monotonic()
 
     graph = _CliqueGraph(n, d)
-    adj_sets = {
-        w: set(graph.neighbors_of(w)) for w in graph.words
-    }
-    incumbent = _initial_incumbent(graph.words, adj_sets)
-
+    start_clique = [0, (1 << d) - 1] if d <= n else [0]
     branches = list(range(d, n + 1))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -248,26 +209,31 @@ def max_code_size(
                 low = cand & -cand
                 tasks.append((i_rep, low.bit_length() - 1))
                 cand ^= low
-        chunks = [tasks[i::threads] for i in range(threads)]
-        args = [(n, d, chunk, len(incumbent), budget.limit)
-                for chunk in chunks if chunk]
+        chunks = [c for c in (tasks[i::threads] for i in range(threads)) if c]
+        if budget.limit is None:
+            shares = [None] * len(chunks)
+        else:
+            left = max(budget.limit - budget.used, 0)
+            shares = [left // len(chunks) + (i < left % len(chunks))
+                      for i in range(len(chunks))]
+        args = [(n, d, chunk, share) for chunk, share in zip(chunks, shares)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_second_vertex_worker, args))
-        best_size = len(incumbent)
-        best_clique = sorted(incumbent)
+        best_size = len(start_clique)
+        best_clique = start_clique
         nodes = 0
         complete = True
         for size, clique, part_nodes, part_complete in parts:
             nodes += part_nodes
             complete = complete and part_complete
-            if clique is not None and (size > best_size
-                                       or (size == best_size and clique < best_clique)):
+            if size > best_size or (size == best_size and clique < best_clique):
                 best_size = size
                 best_clique = clique
         budget.used += nodes
     else:
         search = CliqueSearch(graph.adj_mask, budget, progress)
-        search.seed(len(incumbent), [graph.index[w] for w in incumbent])
+        # expand records only cliques it branches to, never its start
+        search.seed(len(start_clique), [graph.index[w] for w in start_clique])
         for w in branches:
             _weight_branch(search, graph, w)
             if progress is not None:

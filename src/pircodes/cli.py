@@ -416,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the clique search beyond the default range")
     p.add_argument(
         "--threads", type=int,
-        default=int(os.environ.get("PIRCODES_THREADS", "1")),
+        # argparse converts a string default with `type` only when maxsize
+        # is parsed, so a bad PIRCODES_THREADS cannot break other commands
+        default=os.environ.get("PIRCODES_THREADS", "1"),
         help="worker processes for the clique search (env PIRCODES_THREADS)",
     )
     _add_common(p, budget=True)

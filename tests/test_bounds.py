@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,23 @@ from pircodes.recovery import LinearEncoder, verify_pir
 
 def repetition3() -> LinearEncoder:
     return LinearEncoder(BitMatrix.from_strings(["111"]))
+
+
+def brute_force_a2(n: int, d: int) -> int:
+    """Largest set of length-n words pairwise at distance >= d, by plain
+    recursion over all words with only the remaining-candidates bound."""
+    best = 0
+
+    def grow(size: int, cand: list[int]) -> None:
+        nonlocal best
+        best = max(best, size)
+        for i, w in enumerate(cand):
+            if size + len(cand) - i <= best:
+                return
+            grow(size + 1, [u for u in cand[i + 1:] if (u ^ w).bit_count() >= d])
+
+    grow(0, list(range(1 << n)))
+    return best
 
 
 class TestMinDistBound:
@@ -67,6 +85,43 @@ class TestMaxCodeSize:
         assert not entry.complete
         assert entry.value <= 16
 
+    def test_serial_and_parallel_agree(self):
+        # the engine never records the clique it starts from, so a run
+        # that drops the pinned pair {0, 0..01..1} says A2(3,3) = 1
+        for n in range(3, 8):
+            for d in range(1, n + 2):
+                serial = max_code_size(n, d)
+                parallel = max_code_size(n, d, threads=2)
+                assert (serial.value, serial.complete) == (
+                    parallel.value, parallel.complete), (n, d)
+                assert serial.complete, (n, d)
+                for entry in (serial, parallel):
+                    assert 0 in entry.witness
+                    assert len(entry.witness) == entry.value
+                    assert all((a ^ b).bit_count() >= d
+                               for a, b in combinations(entry.witness, 2)), (n, d)
+                if n <= 5:
+                    assert serial.value == brute_force_a2(n, d), (n, d)
+
+    def test_parallel_budget_shared_between_chunks(self):
+        full = max_code_size(7, 3, threads=2)
+        assert full.complete and full.nodes > 0
+        for limit in (0, 10, 50, 100, 200, full.nodes - 1, full.nodes, full.nodes + 50):
+            budget = Budget(limit)
+            entry = max_code_size(7, 3, budget=budget, threads=2)
+            assert budget.used == entry.nodes <= limit, limit
+            # a chunk that completes spends what it spends uncut, so the
+            # total falls short of the uncut run exactly when one was cut
+            assert entry.complete == (entry.nodes == full.nodes), limit
+
+    def test_parallel_budget_counts_earlier_use(self):
+        for threads in (1, 2):
+            budget = Budget(100, used=90)
+            entry = max_code_size(7, 3, budget=budget, threads=threads)
+            assert entry.nodes <= 10 and not entry.complete, threads
+        # threads=2 only: a serial cut also counts the node it refused
+        assert budget.used <= 100
+
     def test_length_below_distance_single_word(self):
         # no word pair reaches distance 5 at length 3; both paths must agree
         for threads in (1, 2):
@@ -87,6 +142,9 @@ class TestMaxCodeSize:
             max_code_size(13, 3)
         with pytest.raises(UsageError):
             max_code_size(2, 3)
+        for threads in (0, -3):
+            with pytest.raises(UsageError):
+                max_code_size(5, 3, threads=threads)
 
 
 class TestBoundTheoremOnCorpus:

@@ -234,6 +234,24 @@ class TestExitCodes:
                                "--threads", "2", capsys=capsys)
         assert code == 0 and json.loads(out)["value"] == 4
 
+    def test_maxsize_threads_below_one_is_2(self, capsys):
+        for threads in ("0", "-3"):
+            code, _, err = run_cli("maxsize", "--n", "5", "--threads", threads,
+                                   capsys=capsys)
+            assert code == 2 and "threads" in err, threads
+
+    def test_bad_threads_env_only_affects_maxsize(self, monkeypatch, capsys):
+        monkeypatch.setenv("PIRCODES_THREADS", "two")
+        code, out, _ = run_cli("packing", "number", "--r", "15", capsys=capsys)
+        assert code == 0 and out.strip() == "15"
+        with pytest.raises(SystemExit) as exc:
+            main(["maxsize", "--n", "5"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("PIRCODES_THREADS", "2")
+        code, out, _ = run_cli("--format", "json", "maxsize", "--n", "5",
+                               capsys=capsys)
+        assert code == 0 and json.loads(out)["value"] == 4
+
     def test_open11_rejects_budget(self):
         with pytest.raises(SystemExit) as exc:
             main(["search", "open11", "--budget", "5"])
