@@ -230,6 +230,8 @@ def max_code_size(
                 best_size = size
                 best_clique = clique
         budget.used += nodes
+        if not complete:
+            budget.exhausted = True  # a chunk's own budget refused a node
     else:
         search = CliqueSearch(graph.adj_mask, budget, progress)
         # expand records only cliques it branches to, never its start

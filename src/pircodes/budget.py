@@ -7,24 +7,29 @@ incomplete ("unknown") rather than as a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
 class Budget:
-    """Mutable node counter; ``limit=None`` means unlimited."""
+    """Mutable node counter; ``limit=None`` means unlimited.
+
+    ``used`` counts only the nodes spent; ``exhausted`` records that a spend
+    was refused, so a search was cut.
+    """
 
     limit: int | None = None
     used: int = 0
+    exhausted: bool = field(default=False, init=False)
 
     def spend(self, amount: int = 1) -> bool:
-        """Consume ``amount`` nodes; return False once the limit is exceeded."""
+        """Consume ``amount`` nodes, or refuse them if that would pass the
+        limit; return whether they were spent."""
+        if self.limit is not None and self.used + amount > self.limit:
+            self.exhausted = True
+            return False
         self.used += amount
-        return self.limit is None or self.used <= self.limit
-
-    @property
-    def exhausted(self) -> bool:
-        return self.limit is not None and self.used > self.limit
+        return True
 
 
 def ensure_budget(budget: Budget | int | None) -> Budget:

@@ -259,66 +259,97 @@ def minimal_recovery_sets(
     max_width: int | None = None,
     budget: Budget | int | None = None,
 ) -> MinimalSetsResult:
-    """All inclusion-minimal recovery sets of size <= max_width for bit j.
+    """All inclusion-minimal recovery sets of size <= max_width for bit j,
+    ordered by (size, positions).
 
-    Linear encoders enumerate the support coset of G.x = e_j; explicit
-    encoders test subsets in (size, lex) order, pruning supersets of found
-    sets.  The completeness flag drops when the node budget runs out.
+    Linear encoders walk the solution coset of G.x = e_j and keep a support
+    S exactly when the columns of G indexed by S are linearly independent.
+    That is the minimality test: dependent columns give a nonzero kernel
+    vector z inside S, and x + z is a solution with smaller support (z != x
+    because G.x != 0); conversely a smaller recovery set inside S is the
+    support of a solution y, and x + y is a nonzero kernel vector inside S.
+    So no minimal set has more than k positions, and a walk cut by the
+    budget still returns only true minimal sets.  Explicit encoders test
+    subsets in (size, lex) order, pruning supersets of found sets.  The
+    completeness flag drops when the node budget runs out.
     """
+    budget = ensure_budget(budget)
+    masks, complete = _minimal_masks(encoder, j, max_width, budget)
+    n = encoder.n
+    sets = tuple(frozenset(mask_to_positions(n, m)) for m in masks)
+    return MinimalSetsResult(sets, complete, budget.used)
+
+
+def _minimal_masks(
+    encoder: Encoder, j: int, max_width: int | None, budget: Budget
+) -> tuple[list[int], bool]:
+    """`minimal_recovery_sets` as position masks, plus the completeness flag."""
     _check_indices(encoder, j, [1])
     if max_width is None:
         max_width = encoder.n
     if max_width < 1:
         raise UsageError("max_width must be >= 1")
-    budget = ensure_budget(budget)
     if isinstance(encoder, LinearEncoder):
-        return _linear_minimal_sets(encoder, j, max_width, budget)
-    return _explicit_minimal_sets(encoder, j, max_width, budget)
+        return _linear_minimal_masks(encoder, j, max_width, budget)
+    return _explicit_minimal_masks(encoder, j, max_width, budget)
 
 
-def _linear_minimal_sets(
+def _linear_minimal_masks(
     encoder: LinearEncoder, j: int, max_width: int, budget: Budget
-) -> MinimalSetsResult:
-    sol = solve_unit(encoder.generator, j)
+) -> tuple[list[int], bool]:
+    g = encoder.generator
+    sol = solve_unit(g, j)
     assert sol.solvable  # full row rank keeps every unit vector reachable
-    supports: list[int] = []
+    n = g.cols
+    column_of_bit = [g.column(n - b) for b in range(n)]
+    width = min(max_width, g.nrows)  # independent columns number at most k
+    minimal: list[int] = []
     complete = True
     for mask in sol.all_solutions():
         if not budget.spend():
             complete = False
             break
-        supports.append(mask)
-    n = encoder.n
-    supports.sort(key=lambda m: (m.bit_count(), mask_to_positions(n, m)))
-    minimal: list[int] = []
-    for m in supports:
-        if m.bit_count() > max_width:
+        if mask.bit_count() > width:
             continue
-        if any((b & m) == b for b in minimal):
-            continue
-        minimal.append(m)
-    sets = tuple(frozenset(mask_to_positions(n, m)) for m in minimal)
-    return MinimalSetsResult(sets, complete, budget.used)
+        basis: dict[int, int] = {}  # reduced columns by leading bit
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = column_of_bit[low.bit_length() - 1]
+            while v:
+                lead = v.bit_length()
+                b = basis.get(lead)
+                if b is None:
+                    basis[lead] = v
+                    break
+                v ^= b
+            else:
+                break  # a column reduced to zero: the support is not minimal
+        else:
+            minimal.append(mask)
+    # Position 1 is the top bit, so for equal sizes a larger mask comes
+    # first in lexicographic order of positions.
+    minimal.sort(key=lambda m: (m.bit_count(), -m))
+    return minimal, complete
 
 
-def _explicit_minimal_sets(
+def _explicit_minimal_masks(
     encoder: ExplicitEncoder, j: int, max_width: int, budget: Budget
-) -> MinimalSetsResult:
+) -> tuple[list[int], bool]:
     n = encoder.n
-    found_masks: list[int] = []
-    sets: list[frozenset[int]] = []
-    complete = True
+    bits = [1 << (n - p) for p in range(1, n + 1)]
+    found: list[int] = []
     for size in range(1, max_width + 1):
-        for combo in combinations(range(1, n + 1), size):
-            mask = positions_to_mask(n, combo)
-            if any((f & mask) == f for f in found_masks):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            if any((f & mask) == f for f in found):
                 continue
             if not budget.spend():
-                return MinimalSetsResult(tuple(sets), False, budget.used)
+                return found, False
             if _explicit_recovers(encoder, j, mask):
-                found_masks.append(mask)
-                sets.append(frozenset(combo))
-    return MinimalSetsResult(tuple(sets), complete, budget.used)
+                found.append(mask)
+    return found, True
 
 
 @dataclass(frozen=True)
@@ -356,8 +387,7 @@ def find_disjoint_family(
     if t < 1:
         raise UsageError("t must be >= 1")
     budget = ensure_budget(budget)
-    enum = minimal_recovery_sets(encoder, j, max_width, budget)
-    masks = [positions_to_mask(encoder.n, s) for s in enum.sets]
+    masks, enum_complete = _minimal_masks(encoder, j, max_width, budget)
     chosen: list[int] = []
     cut = False
 
@@ -381,10 +411,13 @@ def find_disjoint_family(
         return False
 
     if backtrack(0, 0):
-        family = RecoveryFamily(j, tuple(enum.sets[i] for i in chosen))
+        n = encoder.n
+        family = RecoveryFamily(
+            j, tuple(frozenset(mask_to_positions(n, masks[i])) for i in chosen)
+        )
         check_family(encoder, family)
         return FamilyResult(FOUND, family, budget.used)
-    if enum.complete and not cut:
+    if enum_complete and not cut:
         return FamilyResult(IMPOSSIBLE, None, budget.used)
     return FamilyResult(UNKNOWN, None, budget.used)
 
@@ -421,10 +454,10 @@ def serve_query(
     n = encoder.n
     for i in query.requests:
         if i not in cache:
-            cache[i] = minimal_recovery_sets(encoder, i, w, budget)
-        res: MinimalSetsResult = cache[i]
-        enum_complete = enum_complete and res.complete
-        per_request.append([positions_to_mask(n, s) for s in res.sets])
+            cache[i] = _minimal_masks(encoder, i, w, budget)
+        masks, complete = cache[i]
+        enum_complete = enum_complete and complete
+        per_request.append(masks)
 
     usage = [0] * (n + 1)
     chosen: list[int] = []
@@ -538,7 +571,6 @@ def verify_pir(
     budget = ensure_budget(budget)
     start = time.monotonic()
     out: list[dict] = []
-    complete = True
     for j in range(1, encoder.k + 1):
         if witnesses is not None and j in witnesses:
             sets = [frozenset(s) for s in witnesses[j]]
@@ -561,14 +593,13 @@ def verify_pir(
                 failure={"bit": j, "reason": "no serving plan exists"},
             )
         else:
-            complete = False
             return VerifyReport(
                 "pir", t, w, mu, False, False, out,
                 budget.used, time.monotonic() - start,
                 failure={"bit": j, "reason": "budget exhausted"},
             )
     return VerifyReport(
-        "pir", t, w, mu, True, complete, out, budget.used, time.monotonic() - start
+        "pir", t, w, mu, True, True, out, budget.used, time.monotonic() - start
     )
 
 

@@ -119,8 +119,8 @@ class TestMaxCodeSize:
             budget = Budget(100, used=90)
             entry = max_code_size(7, 3, budget=budget, threads=threads)
             assert entry.nodes <= 10 and not entry.complete, threads
-        # threads=2 only: a serial cut also counts the node it refused
-        assert budget.used <= 100
+            # a refused node is not spent, and both paths record the cut
+            assert (budget.used, budget.exhausted) == (100, True), threads
 
     def test_length_below_distance_single_word(self):
         # no word pair reaches distance 5 at length 3; both paths must agree
