@@ -65,8 +65,9 @@ def _listed(res):
 
 K2 = ["10110", "01101"]
 HAMMING3 = ["1110000", "1001100", "0101010", "1101001"]
-# (sets, nodes) per data bit with max_width=None, as the sort-then-filter
-# enumeration returned them; narrower widths keep the sets that fit.
+# (sets, nodes) per data bit with max_width=None, as the enumeration that
+# sorted every coset support and dropped supersets returned them; narrower
+# widths keep the sets that fit.
 PINNED = {
     tuple(K2): {
         1: ([(1,), (4,), (2, 3), (3, 5)], 8),
@@ -115,8 +116,8 @@ def test_linear_matches_reference_and_explicit(g):
 
 @SETTINGS
 @given(full_rank_generators(), st.integers(0, 2**16), st.integers(0, 2**16))
-# the old walk, cut after five coset elements of bit 2, returned (1, 4, 5),
-# a superset of the minimal set {5} it had not reached yet
+# cut after five coset elements of bit 2: a walk that filtered only the
+# supports it reached would keep (1, 4, 5), a superset of the unreached {5}
 @example(BitMatrix.from_strings(K2), 1, 5)
 def test_cut_walk_keeps_only_minimal_sets(g, j_draw, limit_draw):
     linear = LinearEncoder(g)
