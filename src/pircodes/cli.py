@@ -11,7 +11,9 @@ or "unknown" verdicts).  Nonzero exits are reserved for errors:
 
 Long-running commands honor --budget and stream progress lines to standard
 error; maxsize, the only sharded search, also takes --threads (worker
-processes, default from PIRCODES_THREADS).
+processes, default from PIRCODES_THREADS).  search codes takes --budget in
+exhaustive mode and --seed/--restarts in heuristic mode; a flag the chosen
+mode would ignore is a usage error.
 --format json prints a single JSON document on standard output; --format
 text prints a human-oriented rendering.
 """
@@ -277,12 +279,20 @@ def _cmd_optimal_table(args) -> int:
 
 
 def _cmd_search_codes(args) -> int:
+    # Each mode gets only the flags it uses; one it would ignore is an error.
+    heuristic = {"seed": args.seed, "restarts": args.restarts}
+    exhaustive = {"budget": args.budget}
+    used, unused = ((heuristic, exhaustive) if args.mode == "heuristic"
+                    else (exhaustive, heuristic))
+    given = [f"--{name}" for name, value in unused.items() if value is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} has no effect in {args.mode} mode")
     stats = search.SearchStats()
     stream = search.search_codes(
-        args.n, args.size, args.dmin, mode=args.mode, seed=args.seed,
-        budget=args.budget, checkpoint=args.checkpoint, limit=args.limit,
-        restarts=args.restarts, stats=stats,
+        args.n, args.size, args.dmin, mode=args.mode,
+        checkpoint=args.checkpoint, limit=args.limit, stats=stats,
         progress=_progress_printer("search"),
+        **{name: value for name, value in used.items() if value is not None},
     )
     codes = []
     for code in stream:
@@ -439,11 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "heuristic"),
                    default="exhaustive")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None,
+                   help="heuristic mode only (default: 1)")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=200)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="heuristic mode only (default: 200)")
     p.add_argument("--checkpoint")
-    _add_common(p, budget=True)
+    _add_common(p, budget=True)  # exhaustive mode only
     p.set_defaults(func=_cmd_search_codes)
     p = ssub.add_parser("open11", help="length-11 size-128 hunt harness")
     p.add_argument("--seed", type=int, default=1)

@@ -18,8 +18,9 @@ complement-closure.  Every disjoint triple grows to one of the S(n,3)
 partitions of [n] into three blocks, so scanning those partitions (301
 for r = 3) decides exactly what scanning all (4^n - 3*3^n + 3*2^n - 1)/6
 disjoint triples (1,701) would, and proves that no 3-availability encoder
-of any kind exists.  The partition generator and the component finder are
-shared with the encoder-existence decision in `pircodes.search`.
+of any kind exists.  The partition generator and the component finder,
+with its per-code memo of agreement classes by block mask, are shared with
+the encoder-existence decision in `pircodes.search`.
 """
 
 from __future__ import annotations
@@ -239,9 +240,10 @@ def check_no_3pir_any_encoder(r: int = 3, progress=None) -> ImpossibilityReport:
 
     scanned = failing = max_components = 0
     counterexample = None
+    classes: dict[int, list[int]] = {}
     for masks in _iter_partitions(n):
         scanned += 1
-        comps = _agreement_components(values, masks)
+        comps = _agreement_components(values, masks, classes)
         max_components = max(max_components, len(comps))
         comp_of = {}
         for ci, c in enumerate(comps):

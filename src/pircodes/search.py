@@ -12,11 +12,27 @@ certifies a smaller form.  Restricting the search to columns grouped by
 invariant labels would be faster but is not sound for this objective, so
 refinement is used only to order branches.
 
+Equal columns are a different case: swapping two columns that are equal as
+m-bit vectors is an automorphism of the code.  Choosing either one extends
+the prefixes to the same words and leaves the same multiset of columns, so
+the second subtree repeats the first and cannot reach a form strictly below
+what the first left as the incumbent.  A node therefore branches once per
+distinct column vector among its remaining columns; `canonical_form` and
+`is_canonical` return exactly what branching on every column returns.
+
 Orderly generation.  Codes containing the zero word are grown one word at
 a time in ascending order; a partial code is kept only if it equals its
 own canonical form.  Removing the largest word of a canonical code leaves
 a canonical code (insertion argument over sorted sequences), so every
 canonical code is reached exactly once through canonical prefixes.
+
+Partition kernel.  The encoder-existence scan and the Hamming no-encoder
+scan share one enumerator of the S(n,3) partitions of the positions into
+three blocks and one component finder.  The agreement classes of a block
+depend only on the code and the block's mask, and the S(n,3) partitions use
+at most 2^n - 1 distinct masks (2,047 at n = 11, against 85,503 blocks), so
+each scan keeps one memo per code from block mask to its classes of two or
+more codewords.
 
 Checkpoint files are ASCII JSON-lines: a header record
 {"format": "pircodes-checkpoint", "version": 1, "problem": {...}} followed
@@ -34,7 +50,6 @@ import random
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
@@ -53,7 +68,6 @@ __all__ = [
     "permute_code",
     "recoverable_functions",
     "encoder_exists_3pir",
-    "brute_force_encoder_search",
     "search_codes",
     "pir_hunt",
     "open11_hunt",
@@ -110,8 +124,12 @@ def _min_form_search(values: tuple[int, ...], n: int, stop_below: bool):
     def rec(remaining: tuple[int, ...], pref: list[int], d: int) -> bool:
         nonlocal found_smaller, best
         branches = []
+        seen = set()
         for c in remaining:
             col = cols[c]
+            if col in seen:  # an equal column: the same subtree again
+                continue
+            seen.add(col)
             new = [(pref[i] << 1) | col[i] for i in range(m)]
             branches.append((sorted(new), new, c))
         branches.sort(key=lambda b: b[0])
@@ -220,18 +238,26 @@ def _iter_partitions(n: int) -> Iterator[tuple[int, int, int]]:
         sub = (sub - 1) & rest
 
 
-def _agreement_components(values: Sequence[int], masks: Sequence[int]) -> list[int]:
+def _agreement_components(values: Sequence[int], masks: Sequence[int],
+                          classes: dict[int, list[int]]) -> list[int]:
     """Connected components (index bitmasks, ordered by lowest index) of the
-    union of the equal-restriction relations, one relation per mask."""
+    union of the equal-restriction relations, one relation per mask.
+
+    `classes` memoises, per block mask, the agreement classes of two or more
+    codewords; the caller keeps one dict per code (`values`), so a block
+    shared by many partitions is grouped once."""
     links: list[int] = []  # classes of two or more codewords that agree
     for mk in masks:
-        groups: dict[int, int] = {}
-        bit = 1
-        for v in values:
-            key = v & mk
-            groups[key] = groups.get(key, 0) | bit
-            bit <<= 1
-        links += [g for g in groups.values() if g & (g - 1)]
+        mk_links = classes.get(mk)
+        if mk_links is None:
+            groups: dict[int, int] = {}
+            bit = 1
+            for v in values:
+                key = v & mk
+                groups[key] = groups.get(key, 0) | bit
+                bit <<= 1
+            mk_links = classes[mk] = [g for g in groups.values() if g & (g - 1)]
+        links += mk_links
     comps = []
     rest = (1 << len(values)) - 1
     while rest:
@@ -287,10 +313,11 @@ def _scan_partitions(code: Code, budget: Budget, max_components: int):
     positions, spending one budget node each; stop when the budget runs out."""
     values = code.values
     half = code.size // 2
+    classes: dict[int, list[int]] = {}
     for masks in _iter_partitions(code.n):
         if not budget.spend():
             return
-        comps = _agreement_components(values, masks)
+        comps = _agreement_components(values, masks, classes)
         colorings, truncated = _balanced_unions(comps, half, max_components)
         yield masks, comps, colorings, truncated
 
@@ -460,21 +487,6 @@ def encoder_exists_3pir(
     status = NONE if complete and not cut else UNKNOWN
     return ExistsResult(status, None, None, triples_seen, len(masks),
                         best_depth, budget.used)
-
-
-def brute_force_encoder_search(code: Code, t: int = 3) -> ExplicitEncoder | None:
-    """Try all |C|! encoders onto the code; first one passing the exact
-    availability check wins.  Only feasible for tiny codes."""
-    k = code.dimension()
-    if k is None or k < 1:
-        raise UsageError("code size must be a power of two, at least 2")
-    if code.size > 8:
-        raise UsageError("brute force is capped at 8 codewords")
-    for table in permutations(code.values):
-        encoder = ExplicitEncoder(k, code.n, table)
-        if verify_pir(encoder, t, mu=1).verdict:
-            return encoder
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from pircodes.recovery import (
 )
 from pircodes.search import (
     SearchStats,
-    brute_force_encoder_search,
     canonical_form,
     encoder_exists_3pir,
     open11_hunt,
@@ -53,6 +52,8 @@ from pircodes.search import (
     pir_hunt,
     search_codes,
 )
+
+from brute_force import brute_force_encoder_search
 
 # Hand-audited packing numbers for 4-blocks (closed form plus exceptions).
 PACKING_TABLE = {

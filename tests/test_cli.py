@@ -257,6 +257,27 @@ class TestExitCodes:
             main(["search", "open11", "--budget", "5"])
         assert exc.value.code == 2
 
+    def test_search_codes_rejects_flags_its_mode_ignores(self, capsys):
+        base = ["--format", "json", "search", "codes", "--n", "6", "--size", "4",
+                "--dmin", "3"]
+        for extra, flags in ((["--mode", "heuristic", "--budget", "1"], "--budget"),
+                             (["--restarts", "5"], "--restarts"),
+                             (["--seed", "3"], "--seed"),
+                             (["--mode", "exhaustive", "--seed", "3", "--restarts", "5"],
+                              "--seed, --restarts")):
+            code, out, err = run_cli(*base, *extra, capsys=capsys)
+            assert (code, out) == (2, ""), extra
+            assert f"{flags} has no effect" in err, extra
+
+    def test_search_codes_takes_the_flags_its_mode_uses(self, capsys):
+        base = ["--format", "json", "search", "codes", "--n", "6", "--size", "4",
+                "--dmin", "3"]
+        code, out, _ = run_cli(*base, "--budget", "40", capsys=capsys)
+        assert code == 0 and json.loads(out)["statistics"]["complete"] is False
+        code, out, _ = run_cli(*base, "--mode", "heuristic", "--seed", "3",
+                               "--restarts", "5", capsys=capsys)
+        assert code == 0 and json.loads(out)["statistics"]["complete"] is True
+
     def test_unknown_subcommand_is_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pircodes.cli", "frobnicate"],

@@ -1,9 +1,10 @@
 """Differential tests: the partition-only triple/component kernel against a
-reference that scans every disjoint triple of position sets.
+reference that scans every disjoint triple of position sets, and the
+memoised per-partition scan against a memo-free reference.
 
-The reference lives only here.  It enumerates all unordered triples of
-pairwise disjoint nonempty position sets, finds components by pairwise
-agreement, and lists balanced unions by brute force, so it shares no code
+The references live only here.  They enumerate all unordered triples of
+pairwise disjoint nonempty position sets, find components by pairwise
+agreement, and list balanced unions by brute force, so they share no code
 with `pircodes.search` beyond the public `Code` type.
 """
 
@@ -11,9 +12,15 @@ from itertools import combinations, product
 
 from hypothesis import example, given, settings, strategies as st
 
+from pircodes.budget import Budget
 from pircodes.gf2 import Code
 from pircodes.hamming import _disjoint_triple_count, build_hamming, check_no_3pir_any_encoder
-from pircodes.search import _iter_partitions, encoder_exists_3pir, recoverable_functions
+from pircodes.search import (
+    _iter_partitions,
+    _scan_partitions,
+    encoder_exists_3pir,
+    recoverable_functions,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -118,6 +125,42 @@ def test_partitions_match_all_triples(code, max_components):
         assert res.status != "unknown"
 
 
+def reference_partition(values, n, masks, max_components):
+    """(components, colorings, truncated) of one partition, as the kernel
+    reports them but computed afresh: components as index bitmasks ordered
+    by lowest index, colorings as the sorted index bitmasks of the balanced
+    unions that leave out index 0."""
+    index = {v: i for i, v in enumerate(values)}
+
+    def to_mask(side):
+        return sum(1 << index[v] for v in side)
+
+    blocks = [frozenset(p for p in range(1, n + 1) if mk >> (n - p) & 1) for mk in masks]
+    comps = reference_components(values, n, blocks)
+    comp_masks = sorted((to_mask(c) for c in comps), key=lambda c: c & -c)
+    half = len(values) // 2
+    if not half_reachable(comps, half):
+        return comp_masks, [], False
+    if len(comps) > max_components:
+        return comp_masks, [], True
+    full = (1 << len(values)) - 1
+    colorings = {to_mask(side) for side in reference_unions(comps, half)}
+    return comp_masks, sorted({c ^ full if c & 1 else c for c in colorings}), False
+
+
+@SETTINGS
+@given(code=small_codes(), max_components=st.integers(1, 6))
+@example(code=build_hamming(3).code(), max_components=20)  # n = 7, 301 partitions
+@example(code=Code.from_strings(["000001", "010110", "101011", "111100"]),
+         max_components=3)
+def test_memoised_scan_matches_memo_free_reference(code, max_components):
+    scanned = list(_scan_partitions(code, Budget(None), max_components))
+    assert [masks for masks, *_ in scanned] == list(_iter_partitions(code.n))
+    for masks, comps, colorings, truncated in scanned:
+        assert (comps, colorings, truncated) == reference_partition(
+            code.values, code.n, masks, max_components)
+
+
 def reference_hamming(r):
     """(verdict, max_components) of the full-triple Hamming scan."""
     code = build_hamming(r).code()
@@ -141,6 +184,13 @@ def test_hamming_scan_matches_all_triples():
     for r in (2, 3):
         report = check_no_3pir_any_encoder(r)
         assert (report.verdict, report.max_components) == reference_hamming(r)
+
+
+def test_hamming_scan_pinned():
+    # Pinned from the scan before agreement classes were memoised.
+    for r, expected in ((2, ("encoder_exists", 1, 2)), (3, ("no_encoder", 301, 2))):
+        report = check_no_3pir_any_encoder(r)
+        assert (report.verdict, report.partitions_scanned, report.max_components) == expected
 
 
 def test_triple_count_closed_form():

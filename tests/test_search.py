@@ -12,7 +12,6 @@ from pircodes.constructions import build_pir3
 from pircodes.recovery import verify_pir
 from pircodes.search import (
     SearchStats,
-    brute_force_encoder_search,
     canonical_form,
     encoder_exists_3pir,
     is_canonical,
@@ -21,6 +20,8 @@ from pircodes.search import (
     recoverable_functions,
     search_codes,
 )
+
+from brute_force import brute_force_encoder_search
 
 
 def random_code(rng: random.Random, n: int, m: int) -> Code:
