@@ -13,7 +13,9 @@ Long-running commands honor --budget and stream progress lines to standard
 error; maxsize, the only sharded search, also takes --threads (worker
 processes, default from PIRCODES_THREADS).  search codes takes --budget in
 exhaustive mode and --seed/--restarts in heuristic mode; a flag the chosen
-mode would ignore is a usage error.
+mode would ignore is a usage error.  Alternative inputs exclude each other:
+--encoder or --generator (verify), --code or --generator (mindist), and
+--greedy or --target/--budget (packing find).
 --format json prints a single JSON document on standard output; --format
 text prints a human-oriented rendering.
 """
@@ -178,6 +180,8 @@ def _cmd_mindist(args) -> int:
 
 def _cmd_packing_find(args) -> int:
     if args.greedy:
+        if args.budget is not None:
+            raise UsageError("--budget has no effect with --greedy")
         design = designs.greedy_packing(args.v, args.blocksize)
         payload = {"status": "found", "blocks": [list(b) for b in design.blocks],
                    "num_blocks": design.num_blocks}
@@ -279,20 +283,11 @@ def _cmd_optimal_table(args) -> int:
 
 
 def _cmd_search_codes(args) -> int:
-    # Each mode gets only the flags it uses; one it would ignore is an error.
-    heuristic = {"seed": args.seed, "restarts": args.restarts}
-    exhaustive = {"budget": args.budget}
-    used, unused = ((heuristic, exhaustive) if args.mode == "heuristic"
-                    else (exhaustive, heuristic))
-    given = [f"--{name}" for name, value in unused.items() if value is not None]
-    if given:
-        raise UsageError(f"{', '.join(given)} has no effect in {args.mode} mode")
     stats = search.SearchStats()
     stream = search.search_codes(
-        args.n, args.size, args.dmin, mode=args.mode,
-        checkpoint=args.checkpoint, limit=args.limit, stats=stats,
-        progress=_progress_printer("search"),
-        **{name: value for name, value in used.items() if value is not None},
+        args.n, args.size, args.dmin, mode=args.mode, seed=args.seed,
+        budget=args.budget, checkpoint=args.checkpoint, limit=args.limit,
+        restarts=args.restarts, stats=stats, progress=_progress_printer("search"),
     )
     codes = []
     for code in stream:
@@ -341,6 +336,12 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = False) -> None:
                        help="decision-node budget (default: unlimited)")
 
 
+def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--encoder", help="explicit table file")
+    source.add_argument("--generator", help="generator matrix file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pircodes",
@@ -377,21 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--w", type=int, default=None)
     p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--encoder", help="explicit table file")
-    p.add_argument("--generator", help="generator matrix file")
+    _add_encoder_flags(p)
     p.add_argument("--witnesses", help="construction JSON with witness families")
     _add_common(p, budget=True)
     p.set_defaults(func=_cmd_verify_pir)
     p = vsub.add_parser("batch", help="every multiset of t requests")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--encoder")
-    p.add_argument("--generator")
+    _add_encoder_flags(p)
     _add_common(p, budget=True)
     p.set_defaults(func=_cmd_verify_batch)
 
     p = sub.add_parser("mindist", help="minimum distance of a code")
-    p.add_argument("--code", help="codeword file")
-    p.add_argument("--generator", help="generator matrix file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--code", help="codeword file")
+    source.add_argument("--generator", help="generator matrix file")
     p.set_defaults(func=_cmd_mindist)
 
     packing = sub.add_parser("packing", help="pair-packing designs")
@@ -399,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = psub.add_parser("find", help="construct a packing")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--blocksize", type=int, required=True)
-    p.add_argument("--target", type=int, default=None)
-    p.add_argument("--greedy", action="store_true")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--target", type=int, default=None)
+    how.add_argument("--greedy", action="store_true", help="takes no --budget")
     p.add_argument("--out")
     _add_common(p, budget=True)
     p.set_defaults(func=_cmd_packing_find)

@@ -183,9 +183,9 @@ def exact_packing(
     greedy = greedy_packing(v, blocksize)
     if greedy.num_blocks >= target:
         design = PackingDesign(v, blocksize, 2, 1, greedy.blocks[:target])
-        return ExactPackingResult(FOUND, design, budget.used)
+        return ExactPackingResult(FOUND, design, 0)
     if v * ((v - 1) // (blocksize - 1)) // blocksize < target:
-        return ExactPackingResult(IMPOSSIBLE, None, budget.used)
+        return ExactPackingResult(IMPOSSIBLE, None, 0)
 
     cands = list(combinations(range(1, v + 1), blocksize))[::-1]
     containing = [0] * (v * (v - 1) // 2)  # per pair: the blocks holding it
@@ -206,10 +206,8 @@ def exact_packing(
     search.expand([pinned], adj[pinned])
     if search.best_size >= target:
         blocks = tuple(sorted(cands[i] for i in search.best_clique)[:target])
-        return ExactPackingResult(FOUND, PackingDesign(v, blocksize, 2, 1, blocks), budget.used)
-    if search.aborted:
-        return ExactPackingResult(UNKNOWN, None, budget.used)
-    return ExactPackingResult(IMPOSSIBLE, None, budget.used)
+        return ExactPackingResult(FOUND, PackingDesign(v, blocksize, 2, 1, blocks), search.nodes)
+    return ExactPackingResult(UNKNOWN if search.aborted else IMPOSSIBLE, None, search.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ values; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FileFormatError, UsageError
 
@@ -21,6 +21,8 @@ __all__ = [
     "UnitSolution",
     "positions_to_mask",
     "mask_to_positions",
+    "gray_span",
+    "xor_basis_add",
     "hamming_distance",
     "min_distance",
     "extend_even_parity",
@@ -35,6 +37,29 @@ __all__ = [
 # Span enumeration cap for linear min-distance; 2^24 words is the point where
 # a full weight scan stops being interactive.
 SPAN_ENUM_MAX_K = 24
+
+
+def gray_span(base: int, vectors: Sequence[int]) -> Iterator[int]:
+    """Yield `base`, then `base` XOR each nonempty combination of `vectors`,
+    in Gray-code order: 2^len(vectors) values, one XOR apiece."""
+    x = base
+    yield x
+    for m in range(1, 1 << len(vectors)):
+        x ^= vectors[(m & -m).bit_length() - 1]
+        yield x
+
+
+def xor_basis_add(basis: dict[int, int], v: int) -> bool:
+    """Reduce `v` by `basis` (vectors keyed by their leading bit) and add the
+    remainder; return False when `v` reduces to zero, i.e. lies in the span."""
+    while v:
+        lead = v.bit_length()
+        b = basis.get(lead)
+        if b is None:
+            basis[lead] = v
+            return True
+        v ^= b
+    return False
 
 
 def positions_to_mask(m: int, positions: Iterable[int]) -> int:
@@ -216,23 +241,8 @@ class BitMatrix:
         return out
 
     def rank(self) -> int:
-        work = list(self.rows)
-        rank = 0
-        for col in range(self.cols):
-            bit = 1 << (self.cols - 1 - col)
-            piv = None
-            for i in range(rank, len(work)):
-                if work[i] & bit:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            for i in range(len(work)):
-                if i != rank and (work[i] & bit):
-                    work[i] ^= work[rank]
-            rank += 1
-        return rank
+        basis: dict[int, int] = {}
+        return sum(xor_basis_add(basis, r) for r in self.rows)
 
 
 @dataclass(frozen=True)
@@ -258,13 +268,7 @@ class LinearCode:
         k = self.k
         if k > SPAN_ENUM_MAX_K:
             raise UsageError(f"span enumeration is capped at k <= {SPAN_ENUM_MAX_K}")
-        rows = self.generator.rows
-        words = [0] * (1 << k)
-        w = 0
-        for m in range(1, 1 << k):
-            w ^= rows[(m & -m).bit_length() - 1]
-            words[m] = w
-        return Code.from_values(self.n, words)
+        return Code.from_values(self.n, gray_span(0, self.generator.rows))
 
 
 def hamming_distance(a: Word, b: Word) -> int:
@@ -285,11 +289,10 @@ def min_distance(code: "Code | LinearCode") -> int:
         k = code.k
         if k > SPAN_ENUM_MAX_K:
             raise UsageError(f"weight enumeration is capped at k <= {SPAN_ENUM_MAX_K}")
-        rows = code.generator.rows
+        walk = gray_span(0, code.generator.rows)
+        next(walk)  # the zero word
         best = code.n + 1
-        w = 0
-        for m in range(1, 1 << k):
-            w ^= rows[(m & -m).bit_length() - 1]
+        for w in walk:
             bc = w.bit_count()
             if bc < best:
                 best = bc
@@ -354,12 +357,8 @@ class UnitSolution:
     def all_solutions(self) -> Iterator[int]:
         """Gray-code walk over the whole solution coset (2^dim(kernel) masks)."""
         if self.solution is None:
-            return
-        x = self.solution
-        yield x
-        for m in range(1, 1 << len(self.kernel)):
-            x ^= self.kernel[(m & -m).bit_length() - 1]
-            yield x
+            return iter(())
+        return gray_span(self.solution, self.kernel)
 
 
 def solve_unit(g: BitMatrix, j: int) -> UnitSolution:

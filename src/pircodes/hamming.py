@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import UsageError
-from .gf2 import BitMatrix, Code, LinearCode
+from .gf2 import BitMatrix, Code, LinearCode, positions_to_mask
 from .search import (
     _agreement_components,
     _block_positions,
@@ -69,11 +69,7 @@ class HammingCode:
         return self.n - self.r
 
     def syndrome(self, value: int) -> int:
-        h = self.parity_check
-        out = 0
-        for i, row in enumerate(h.rows):
-            out |= ((row & value).bit_count() & 1) << (self.r - 1 - i)
-        return out
+        return self.parity_check.column_combination(value)
 
     def is_codeword(self, value: int) -> bool:
         return self.syndrome(value) == 0
@@ -146,10 +142,7 @@ def lines_pg(r: int) -> tuple[Line, ...]:
 
 def line_word_value(line: Line, n: int) -> int:
     """Characteristic vector of a line as an n-bit word value."""
-    v = 0
-    for p in line.points:
-        v |= 1 << (n - p)
-    return v
+    return positions_to_mask(n, line.points)
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,7 @@ def encoder_exists_3pir(
     if k is None or k < 1:
         raise UsageError("code size must be a power of two, at least 2")
     budget = ensure_budget(budget)
+    used0 = budget.used
     values = code.values
     m = code.size
     full = (1 << m) - 1
@@ -483,10 +484,10 @@ def encoder_exists_3pir(
         if not report.verdict:
             raise AssertionError("constructed encoder failed re-validation")
         return ExistsResult(FOUND, encoder, witnesses, triples_seen,
-                            len(masks), k, budget.used)
+                            len(masks), k, budget.used - used0)
     status = NONE if complete and not cut else UNKNOWN
     return ExistsResult(status, None, None, triples_seen, len(masks),
-                        best_depth, budget.used)
+                        best_depth, budget.used - used0)
 
 
 # ---------------------------------------------------------------------------
@@ -596,23 +597,33 @@ def search_codes(
     size: int,
     dmin: int,
     mode: str = "exhaustive",
-    seed: int = 1,
+    seed: int | None = None,
     budget: Budget | int | None = None,
     checkpoint: str | None = None,
     limit: int | None = None,
-    restarts: int = 200,
+    restarts: int | None = None,
     stats: SearchStats | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> Iterator[Code]:
     """Stream codes of the given length, size, and minimum distance.
 
     Exhaustive mode emits exactly one canonical representative per
-    column-permutation class of zero-containing codes (orderly generation).
-    Heuristic mode runs seeded greedy restarts with swap improvement and
-    emits every distinct code it reaches; identical seeds give identical
-    streams.  A checkpoint file makes either mode resumable with the same
+    column-permutation class of zero-containing codes (orderly generation);
+    it takes `budget`.  Heuristic mode runs seeded greedy restarts with swap
+    improvement and emits every distinct code it reaches; it takes `seed`
+    (default 1) and `restarts` (default 200), and identical seeds give
+    identical streams.  Passing a flag the mode would ignore raises
+    UsageError.  A checkpoint file makes either mode resumable with the same
     overall result set.
     """
+    unused = {"exhaustive": {"seed": seed, "restarts": restarts},
+              "heuristic": {"budget": budget}}.get(mode, {})
+    # Named as the CLI flags, which share the parameter names.
+    given = [f"--{name}" for name, value in unused.items() if value is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} has no effect in {mode} mode")
+    seed = 1 if seed is None else seed
+    restarts = 200 if restarts is None else restarts
     problem = _search_problem(n, size, dmin, mode, seed)
     ck = _Checkpoint(checkpoint, problem)
     try:
@@ -822,10 +833,9 @@ def pir_hunt(
     witness_threshold: int = 2,
     checkpoint: str | None = None,
     restarts: int = 200,
-    mode: str = "heuristic",
     progress: Callable[[str], None] | None = None,
 ) -> HuntReport:
-    """Stream codes and test each for a 3-availability encoder.
+    """Stream heuristic-mode codes and test each for a 3-availability encoder.
 
     The harness gathers evidence only: it never claims nonexistence for the
     searched parameters, because the code space is not exhausted.  Codes
@@ -833,12 +843,12 @@ def pir_hunt(
     functions are logged as candidates worth revisiting.
     """
     start = time.monotonic()
-    problem = _search_problem(n, size, dmin, mode, seed)
+    problem = _search_problem(n, size, dmin, "heuristic", seed)
     report = HuntReport(n, size, dmin, 0, 0, 0, witness_threshold, [], [],
                         0.0, True)
     ck = _Checkpoint(checkpoint, problem)
     try:
-        stream = _code_stream(ck, n, size, dmin, mode, seed, Budget(None), max_codes,
+        stream = _code_stream(ck, n, size, dmin, "heuristic", seed, Budget(None), max_codes,
                               restarts, SearchStats(), progress)
         for code in stream:
             key = code.values

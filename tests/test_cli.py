@@ -278,6 +278,35 @@ class TestExitCodes:
                                "--restarts", "5", capsys=capsys)
         assert code == 0 and json.loads(out)["statistics"]["complete"] is True
 
+    def test_mindist_code_and_generator_exclude_each_other(self, tmp_path):
+        path = str(tmp_path / "code.txt")
+        with open(path, "w") as fh:
+            fh.write("000\n111\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["mindist", "--code", path, "--generator", path])
+        assert exc.value.code == 2
+
+    def test_verify_encoder_and_generator_exclude_each_other(self, tmp_path, k2_encoder):
+        from pircodes.recovery import as_explicit, write_encoder
+
+        enc = str(tmp_path / "k2.enc")
+        gen = str(tmp_path / "k2.gen")
+        write_encoder(as_explicit(k2_encoder), enc)
+        with open(gen, "w") as fh:
+            fh.write("10110\n01101\n")
+        for prop in (["pir", "--t", "1"], ["batch", "--t", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", *prop, "--encoder", enc, "--generator", gen])
+            assert exc.value.code == 2, prop
+
+    def test_greedy_packing_takes_no_target_or_budget(self, capsys):
+        base = ["packing", "find", "--v", "7", "--blocksize", "4", "--greedy"]
+        with pytest.raises(SystemExit) as exc:
+            main([*base, "--target", "99", "--budget", "1"])
+        assert exc.value.code == 2
+        code, out, err = run_cli(*base, "--budget", "1", capsys=capsys)
+        assert (code, out) == (2, "") and "--budget" in err
+
     def test_unknown_subcommand_is_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pircodes.cli", "frobnicate"],

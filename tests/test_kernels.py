@@ -1,0 +1,233 @@
+"""Differential tests for the shared GF(2) and recovery kernels.
+
+`gf2.gray_span` is the one span walk (`LinearCode.span`, linear
+`min_distance`, `UnitSolution.all_solutions`), `gf2.xor_basis_add` the one
+XOR basis (`BitMatrix.rank`, `recovery._linear_recovers`), and
+`find_disjoint_family` is `serve_query` on the constant query.  Each is held
+here to the code it replaced, kept only in these tests: Gauss-Jordan rank,
+the inline Gray walks, the sorted-basis `min` reduction, the row-parity
+syndrome loop and the dedicated disjoint-family backtracker.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pircodes.budget import Budget, ensure_budget
+from pircodes.errors import UsageError
+from pircodes.gf2 import BitMatrix, LinearCode, min_distance, solve_unit
+from pircodes.hamming import build_hamming
+from pircodes.recovery import (
+    ExplicitEncoder,
+    LinearEncoder,
+    RecoveryFamily,
+    _linear_recovers,
+    _minimal_masks,
+    as_explicit,
+    check_family,
+    find_disjoint_family,
+)
+from test_minimal_sets import full_rank_generators
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+K2 = BitMatrix.from_strings(["10110", "01101"])
+HAMMING3 = BitMatrix.from_strings(["1110000", "1001100", "0101010", "1101001"])
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+def reference_rank(m):
+    """Gauss-Jordan elimination on the rows."""
+    work = list(m.rows)
+    rank = 0
+    for col in range(m.cols):
+        bit = 1 << (m.cols - 1 - col)
+        piv = next((i for i in range(rank, len(work)) if work[i] & bit), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i] & bit:
+                work[i] ^= work[rank]
+        rank += 1
+    return rank
+
+
+def reference_recovers(g, j, mask):
+    """e_j against a reduced basis kept sorted by leading bit."""
+    basis = []
+    for p in range(1, g.cols + 1):
+        if mask >> (g.cols - p) & 1:
+            v = g.column(p)
+            for b in basis:
+                v = min(v, v ^ b)
+            if v:
+                basis.append(v)
+                basis.sort(reverse=True)
+    v = 1 << (g.nrows - j)
+    for b in basis:
+        v = min(v, v ^ b)
+    return v == 0
+
+
+def reference_walk(base, vectors):
+    """The inline Gray walk: base, then one vector XORed in per step."""
+    out = [base]
+    x = base
+    for m in range(1, 1 << len(vectors)):
+        x ^= vectors[(m & -m).bit_length() - 1]
+        out.append(x)
+    return out
+
+
+def reference_syndrome(h, value):
+    """Parity of each parity-check row against the word."""
+    out = 0
+    for i, row in enumerate(h.parity_check.rows):
+        out |= ((row & value).bit_count() & 1) << (h.r - 1 - i)
+    return out
+
+
+def reference_family(encoder, j, t, max_width=None, budget=None):
+    """The dedicated disjoint-family backtracker: (status, sets, nodes)."""
+    budget = ensure_budget(budget)
+    masks, enum_complete = _minimal_masks(encoder, j, max_width, budget)
+    chosen = []
+    cut = False
+
+    def backtrack(start, used):
+        nonlocal cut
+        if len(chosen) == t:
+            return True
+        for idx in range(start, len(masks)):
+            m = masks[idx]
+            if m & used:
+                continue
+            if not budget.spend():
+                cut = True
+                return False
+            chosen.append(idx)
+            if backtrack(idx + 1, used | m):
+                return True
+            chosen.pop()
+            if cut:
+                return False
+        return False
+
+    n = encoder.n
+    if backtrack(0, 0):
+        sets = [sorted(p for p in range(1, n + 1) if masks[i] >> (n - p) & 1)
+                for i in chosen]
+        return "found", sets, budget.used
+    if enum_complete and not cut:
+        return "impossible", None, budget.used
+    return "unknown", None, budget.used
+
+
+def _family(res):
+    sets = None if res.family is None else [sorted(s) for s in res.family.sets]
+    return res.status, sets, res.nodes
+
+
+# ---------------------------------------------------------------------------
+# One XOR basis
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.integers(0, (1 << n) - 1), min_size=1, max_size=7).map(
+        lambda rows: BitMatrix(n, tuple(rows)))))
+@example(BitMatrix(3, (0, 0, 0)))
+@example(BitMatrix(5, (0b10110, 0b01101, 0b11011)))
+def test_rank_matches_gauss_jordan(m):
+    assert m.rank() == reference_rank(m)
+
+
+@SETTINGS
+@given(full_rank_generators(max_k=5, max_n=10), st.data())
+def test_linear_recovers_matches_sorted_basis(g, data):
+    j = data.draw(st.integers(1, g.nrows))
+    for mask in data.draw(st.lists(st.integers(1, (1 << g.cols) - 1), min_size=1,
+                                   max_size=20)):
+        assert _linear_recovers(g, j, mask) == reference_recovers(g, j, mask)
+
+
+# ---------------------------------------------------------------------------
+# One span walk
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(full_rank_generators(max_k=6, max_n=12))
+@example(HAMMING3)
+def test_span_and_min_distance_match_inline_walk(g):
+    words = reference_walk(0, g.rows)
+    code = LinearCode(g)
+    assert code.span().values == tuple(sorted(set(words)))
+    assert min_distance(code) == min(w.bit_count() for w in words[1:])
+
+
+@SETTINGS
+@given(full_rank_generators(max_k=5, max_n=12), st.data())
+def test_all_solutions_matches_inline_walk(g, data):
+    sol = solve_unit(g, data.draw(st.integers(1, g.nrows)))
+    assert list(sol.all_solutions()) == reference_walk(sol.solution, sol.kernel)
+
+
+def test_unsolvable_walk_is_empty():
+    sol = solve_unit(BitMatrix.from_strings(["11", "11"]), 1)
+    assert not sol.solvable and list(sol.all_solutions()) == []
+
+
+def test_syndrome_matches_row_parity():
+    for r in (2, 3, 4):
+        h = build_hamming(r)
+        for value in range(1 << h.n):
+            assert h.syndrome(value) == reference_syndrome(h, value)
+
+
+# ---------------------------------------------------------------------------
+# One disjoint-set backtracker, one witness checker
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(full_rank_generators(max_k=4, max_n=9))
+@example(K2)
+@example(HAMMING3)
+def test_family_matches_reference_backtracker(g):
+    encoders = [LinearEncoder(g)]
+    if g.nrows <= 3:
+        encoders.append(as_explicit(encoders[0]))
+    for encoder in encoders:
+        for j in range(1, g.nrows + 1):
+            for t in range(1, 5):
+                for w in (None, 1, 2, 3):
+                    for limit in (None, 3, 10):
+                        got = find_disjoint_family(encoder, j, t, w, Budget(limit))
+                        assert _family(got) == reference_family(encoder, j, t, w,
+                                                                Budget(limit))
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda k: st.integers(k + 1, 6).flatmap(
+    lambda n: st.permutations(range(1 << n)).map(
+        lambda p: ExplicitEncoder(k, n, tuple(p[:1 << k]))))))
+def test_family_matches_reference_on_tables(encoder):
+    for j in range(1, encoder.k + 1):
+        for t in range(1, 4):
+            for limit in (None, 3, 10):
+                got = find_disjoint_family(encoder, j, t, None, Budget(limit))
+                assert _family(got) == reference_family(encoder, j, t, None, Budget(limit))
+
+
+def test_check_family_reports_the_failing_position_or_set(k2_encoder):
+    with pytest.raises(UsageError, match="family for bit 1: position 1 used more"):
+        check_family(k2_encoder, RecoveryFamily(1, (frozenset({1}), frozenset({1, 4}))))
+    with pytest.raises(UsageError, match=r"family for bit 1: set \[5\] does not recover"):
+        check_family(k2_encoder, RecoveryFamily(1, (frozenset({4}), frozenset({5}))))
+    check_family(k2_encoder, RecoveryFamily(1, (frozenset({1}), frozenset({4}),
+                                                frozenset({3, 5}))))

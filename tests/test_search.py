@@ -173,6 +173,20 @@ class TestSearchCodes:
                                               restarts=20)]
         assert sorted(set(a)) != sorted(set(c)) or a != c
 
+    def test_flags_the_mode_ignores_are_rejected(self):
+        for kwargs, names in (({"mode": "heuristic", "budget": 1}, "--budget"),
+                              ({"seed": 99}, "--seed"),
+                              ({"mode": "exhaustive", "restarts": 0}, "--restarts"),
+                              ({"seed": 99, "restarts": 0}, "--seed, --restarts")):
+            with pytest.raises(UsageError, match=f"{names} has no effect"):
+                list(search_codes(6, 4, 3, **kwargs))
+
+    def test_heuristic_defaults_are_seed_1_and_200_restarts(self):
+        implicit = [c.values for c in search_codes(6, 8, 3, mode="heuristic", limit=3)]
+        explicit = [c.values for c in search_codes(6, 8, 3, mode="heuristic", limit=3,
+                                                   seed=1, restarts=200)]
+        assert implicit == explicit and len(implicit) == 3
+
     def test_heuristic_finds_hamming_length7(self):
         found = list(search_codes(7, 16, 3, mode="heuristic", seed=1, limit=1,
                                   restarts=300))
@@ -273,6 +287,10 @@ class TestHuntPipeline:
         assert rep.codes_examined >= 1
         assert rep.encoders_found == 0
         assert rep.n == 11 and rep.size == 128
+
+    def test_hunt_has_no_mode(self):
+        with pytest.raises(TypeError):
+            pir_hunt(5, 4, 3, seed=1, max_codes=1, restarts=50, mode="exhaustive")
 
     def test_hunt_checkpoint_reuses_outcomes(self, tmp_path):
         ck = str(tmp_path / "hunt.ckpt")
