@@ -8,6 +8,12 @@ nonzero clique member, which any coordinate permutation can normalize to
 the word 0..01..1 of that weight; inside a branch it runs the
 greedy-coloring branch and bound of `clique` on vertex indices of the
 words in (weight, value) order, and maps the indices back to words.
+The graph is built once per call by a bitsliced plane counter: plane b
+holds the indices of the words with bit b set, and a word's row is the
+threshold ``count >= d`` over the n planes, complemented where the word
+has a 1, which is about n log n big-int operations per word in place of
+2^n pair tests.  Parallel workers receive that adjacency and return
+vertex indices.
 The search starts from the pair {0, 0..01..1 of weight d} (from {0} when
 n < d), which it must be given because the engine records only cliques it
 branches to.  No heuristic incumbent is needed: branching from the highest
@@ -105,7 +111,8 @@ class A2Entry:
 
 
 class _CliqueGraph:
-    """Distance->=d graph on all words of length n, ordered by (weight, value)."""
+    """Distance->=d graph on all words of length n, ordered by (weight, value),
+    built by the bitsliced plane counter of the module docstring."""
 
     def __init__(self, n: int, d: int):
         self.n = n
@@ -114,14 +121,39 @@ class _CliqueGraph:
         words.sort(key=lambda w: (w.bit_count(), w))
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
-        nverts = len(words)
-        adj_mask = [0] * nverts
+        full = (1 << len(words)) - 1
+        planes = [0] * n
         for i, w in enumerate(words):
-            for j in range(i + 1, nverts):
-                if (w ^ words[j]).bit_count() >= d:
-                    adj_mask[i] |= 1 << j
-                    adj_mask[j] |= 1 << i
-        self.adj_mask = adj_mask
+            while w:
+                low = w & -w
+                planes[low.bit_length() - 1] |= 1 << i
+                w ^= low
+        flipped = [full ^ p for p in planes]
+        width = max(n, d).bit_length()  # the counter holds n and compares with d
+        self.adj_mask = [_at_least(d, width, [
+            flipped[b] if w >> b & 1 else planes[b] for b in range(n)
+        ]) for w in words]
+
+
+def _at_least(d: int, width: int, indicators: list[int]) -> int:
+    """Indices set in at least d >= 1 of the `indicators` bitmasks: a
+    `width`-plane bitsliced counter (least significant plane first),
+    compared with d from the top plane down."""
+    count = [0] * width
+    for carry in indicators:
+        for j in range(width):
+            count[j], carry = count[j] ^ carry, count[j] & carry
+            if not carry:
+                break
+    greater = 0
+    equal = -1  # every index, until a plane of d tells them apart
+    for j in range(width - 1, -1, -1):
+        if d >> j & 1:
+            equal &= count[j]
+        else:
+            greater |= equal & count[j]
+            equal &= ~count[j]
+    return greater | equal
 
 
 def _weight_branch(search: CliqueSearch, g: _CliqueGraph, w: int) -> None:
@@ -135,11 +167,9 @@ def _weight_branch(search: CliqueSearch, g: _CliqueGraph, w: int) -> None:
 
 
 def _second_vertex_worker(args):
-    """Run a chunk of (class seed, second vertex) subtrees in one process."""
-    n, d, tasks, limit = args
-    graph = _CliqueGraph(n, d)
-    adj = graph.adj_mask
-    zero_idx = graph.index[0]
+    """Run a chunk of (class seed, second vertex) subtrees in one process on
+    the parent's adjacency; return the best clique as vertex indices."""
+    adj, zero_idx, tasks, limit = args
     search = CliqueSearch(adj, Budget(limit))
     for i_rep, i_u in tasks:
         # expand records only cliques it branches to: the pinned triple is
@@ -150,8 +180,7 @@ def _second_vertex_worker(args):
         search.expand([zero_idx, i_rep, i_u], cand)
         if search.aborted:
             break
-    clique = sorted(graph.words[i] for i in search.best_clique)
-    return (search.best_size, clique, search.nodes, not search.aborted)
+    return (search.best_size, search.best_clique, search.nodes, not search.aborted)
 
 
 def max_code_size(
@@ -216,14 +245,16 @@ def max_code_size(
             left = max(budget.limit - budget.used, 0)
             shares = [left // len(chunks) + (i < left % len(chunks))
                       for i in range(len(chunks))]
-        args = [(n, d, chunk, share) for chunk, share in zip(chunks, shares)]
+        args = [(graph.adj_mask, zero_idx, chunk, share)
+                for chunk, share in zip(chunks, shares)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_second_vertex_worker, args))
         best_size = len(start_clique)
         best_clique = start_clique
         nodes = 0
         complete = True
-        for size, clique, part_nodes, part_complete in parts:
+        for size, indices, part_nodes, part_complete in parts:
+            clique = sorted(graph.words[i] for i in indices)
             nodes += part_nodes
             complete = complete and part_complete
             if size > best_size or (size == best_size and clique < best_clique):

@@ -1,11 +1,15 @@
 """The maximum-clique branch and bound shared by A2(n,d) and pair packings.
 
-A graph is a list of int adjacency bitmasks over vertex indices, so a
-candidate set meets a neighbourhood in one ``&``.  Each node colours its
-candidates greedily into clique-cover classes (Tomita et al., WALCOM 2010)
-and never branches on a vertex whose colour plus the depth cannot beat the
-incumbent.  The colouring sweeps from the lowest index up and branching
-starts at the highest colour, so the caller's index order steers the search.
+A graph is a list of int adjacency bitmasks over vertex indices, without
+self-loops, so a candidate set meets a neighbourhood in one ``&``.  Each
+node colours its candidates greedily into clique-cover classes (Tomita et
+al., WALCOM 2010) and never branches on a vertex whose colour plus the
+depth cannot beat the incumbent.  The colouring sweep spends one ``&`` per
+coloured vertex on a mask built once per search, ``~(adj[v] | 1 << v)``,
+which drops the vertex and its neighbours from the class's candidates
+together (the bitset style of BBMC, San Segundo et al. 2011).  The
+colouring sweeps from the lowest index up and branching starts at the
+highest colour, so the caller's index order steers the search.
 Callers build the graph, pin their symmetry-breaking vertices as the
 starting clique, and map the indices of ``best_clique`` back.
 """
@@ -31,6 +35,9 @@ class CliqueSearch:
                  progress: Callable[[str], None] | None = None,
                  stop_at: int | None = None):
         self.adj = adj
+        # The colouring sweep's one mask per vertex: every vertex but v and
+        # its neighbours.
+        self.nonadj = [~(a | 1 << v) for v, a in enumerate(adj)]
         self.budget = budget
         self.progress = progress
         self.stop_at = stop_at
@@ -51,6 +58,7 @@ class CliqueSearch:
         kmin is moved below it when its single conflict in some low class
         can hop to another low class.  Output is grouped by ascending color."""
         adj = self.adj
+        nonadj = self.nonadj
         classes: list[int] = []
         uncolored = cand
         while uncolored:
@@ -59,8 +67,7 @@ class CliqueSearch:
             while avail:
                 low = avail & -avail
                 members |= low
-                avail &= ~adj[low.bit_length() - 1]
-                avail ^= low
+                avail &= nonadj[low.bit_length() - 1]
             uncolored &= ~members
             if 0 < kmin <= len(classes):
                 kept = 0

@@ -615,6 +615,9 @@ def search_codes(
     identical streams.  Passing a flag the mode would ignore raises
     UsageError.  A checkpoint file makes either mode resumable with the same
     overall result set.
+
+    Misuse raises here, at the call; the checkpoint is opened only when the
+    stream is first advanced.
     """
     unused = {"exhaustive": {"seed": seed, "restarts": restarts},
               "heuristic": {"budget": budget}}.get(mode, {})
@@ -625,13 +628,18 @@ def search_codes(
     seed = 1 if seed is None else seed
     restarts = 200 if restarts is None else restarts
     problem = _search_problem(n, size, dmin, mode, seed)
-    ck = _Checkpoint(checkpoint, problem)
-    try:
-        yield from _code_stream(ck, n, size, dmin, mode, seed, ensure_budget(budget),
-                                limit, restarts,
-                                stats if stats is not None else SearchStats(), progress)
-    finally:
-        ck.close()
+    budget = ensure_budget(budget)
+    stats = stats if stats is not None else SearchStats()
+
+    def stream() -> Iterator[Code]:
+        ck = _Checkpoint(checkpoint, problem)
+        try:
+            yield from _code_stream(ck, n, size, dmin, mode, seed, budget, limit,
+                                    restarts, stats, progress)
+        finally:
+            ck.close()
+
+    return stream()
 
 
 def _search_problem(n: int, size: int, dmin: int, mode: str, seed: int) -> dict:
@@ -753,41 +761,72 @@ def _heuristic_generation(
     progress: Callable[[str], None] | None,
 ) -> Iterator[Code]:
     universe = list(range(1 << n))
+    ball = [m for m in universe if m.bit_count() < dmin]
     for ridx in range(restarts):
         if ridx in ck.restarts_done:
             continue
         rng = random.Random(f"pircodes:{seed}:{ridx}")
-        order = universe[:]
-        rng.shuffle(order)
-        chosen: list[int] = []
-        for w in order:
-            if all((w ^ c).bit_count() >= dmin for c in chosen):
-                chosen.append(w)
-        for _ in range(40):
-            if len(chosen) >= size:
-                break
-            improved = False
-            sample = universe[:]
-            rng.shuffle(sample)
-            for w in sample:
-                conflicts = [c for c in chosen if (w ^ c).bit_count() < dmin]
-                if not conflicts:
-                    chosen.append(w)
-                    improved = True
-                elif len(conflicts) == 1 and conflicts[0] != w and rng.random() < 0.5:
-                    chosen.remove(conflicts[0])
-                    chosen.append(w)
-                    improved = True
-            if not improved and len(chosen) < size:
-                # plateau: random kick, remove a few words
-                for _ in range(min(3, len(chosen))):
-                    chosen.pop(rng.randrange(len(chosen)))
+        chosen = _greedy_swap(universe, ball, size, rng)
         ck.record_restart(ridx)
         if len(chosen) >= size:
             yield Code.from_values(n, sorted(chosen)[:size])
         if progress is not None and (ridx + 1) % 20 == 0:
             progress(f"restart={ridx + 1} best={len(chosen)}")
     stats.complete = True
+
+
+def _greedy_swap(universe: list[int], ball: list[int], size: int,
+                 rng: random.Random) -> list[int]:
+    """One heuristic restart: a greedy pass in a shuffled order, then up to
+    40 shuffled sweeps that add every free word and swap a word for its
+    single conflict half the time, with a random kick on a plateau.
+
+    Two words conflict when their XOR lies in `ball` (distance < dmin).
+    near[x] counts the chosen words in conflict with x, x itself included
+    when chosen, and is kept over the ball of every word added or dropped.
+    """
+    order = universe[:]
+    rng.shuffle(order)
+    chosen: list[int] = []
+    members: set[int] = set()
+    near = [0] * len(universe)
+
+    def add(w: int) -> None:
+        chosen.append(w)
+        members.add(w)
+        for m in ball:
+            near[w ^ m] += 1
+
+    def drop(c: int) -> None:
+        members.discard(c)
+        for m in ball:
+            near[c ^ m] -= 1
+
+    for w in order:
+        if not near[w]:
+            add(w)
+    for _ in range(40):
+        if len(chosen) >= size:
+            break
+        improved = False
+        sample = universe[:]
+        rng.shuffle(sample)
+        for w in sample:
+            if not near[w]:
+                add(w)
+                improved = True
+            # one conflict that is not w itself: swap it out half the time
+            elif near[w] == 1 and w not in members and rng.random() < 0.5:
+                c = next(w ^ m for m in ball if w ^ m in members)
+                chosen.remove(c)
+                drop(c)
+                add(w)
+                improved = True
+        if not improved and len(chosen) < size:
+            # plateau: random kick, remove a few words
+            for _ in range(min(3, len(chosen))):
+                drop(chosen.pop(rng.randrange(len(chosen))))
+    return chosen
 
 
 # ---------------------------------------------------------------------------

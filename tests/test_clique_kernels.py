@@ -1,0 +1,217 @@
+"""Differential tests for the clique-engine kernels.
+
+`bounds._CliqueGraph` builds the distance graph with a bitsliced plane
+counter, and `CliqueSearch._color_order` sweeps with one precomputed mask
+per vertex.  Each is held here to the code it replaced, kept only in these
+tests: the pairwise distance loop and the two-step sweep
+(``avail &= ~adj[v]; avail ^= low``).  The node counts, values, witnesses
+and designs pinned below are those of the pairwise graph and the two-step
+sweep; a faster kernel must reproduce them exactly.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pircodes.budget import Budget
+from pircodes.bounds import _CliqueGraph, max_code_size
+from pircodes.clique import CliqueSearch
+from pircodes.designs import exact_packing, packing_number_formula
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+def reference_adjacency(n):
+    """Rows of the distance->=d graph for every d, by one distance test per
+    word pair; the words in (weight, value) order."""
+    words = sorted(range(1 << n), key=lambda w: (w.bit_count(), w))
+    rows = []
+    for w in words:
+        at = [0] * (n + 1)  # at[k]: the indices at distance exactly k
+        for j, u in enumerate(words):
+            at[(w ^ u).bit_count()] |= 1 << j
+        rows.append(at)
+
+    def adjacency(d):
+        return [sum(at[k] for k in range(max(d, 1), n + 1)) for at in rows]
+
+    return adjacency
+
+
+def reference_color_order(adj, cand, kmin):
+    """The colouring as it was: the two-step sweep, then the same
+    relocation pass."""
+    classes = []
+    uncolored = cand
+    while uncolored:
+        avail = uncolored
+        members = 0
+        while avail:
+            low = avail & -avail
+            members |= low
+            avail &= ~adj[low.bit_length() - 1]
+            avail ^= low
+        uncolored &= ~members
+        if 0 < kmin <= len(classes):
+            kept = 0
+            rest = members
+            limit = min(kmin, len(classes))
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                moved = False
+                for c1 in range(limit):
+                    conflict = adj[v] & classes[c1]
+                    if conflict.bit_count() != 1:
+                        continue
+                    w = conflict.bit_length() - 1
+                    for c2 in range(limit):
+                        if c2 != c1 and not (adj[w] & classes[c2]):
+                            classes[c2] |= conflict
+                            classes[c1] = (classes[c1] ^ conflict) | low
+                            moved = True
+                            break
+                    if moved:
+                        break
+                if not moved:
+                    kept |= low
+            members = kept
+        if members:
+            classes.append(members)
+    return classes
+
+
+def random_graph(seed, nverts, density):
+    rng = random.Random(seed)
+    adj = [0] * nverts
+    for i in range(nverts):
+        for j in range(i + 1, nverts):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj, rng
+
+
+# ---------------------------------------------------------------------------
+# The bitsliced distance graph
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_graph_matches_pairwise_reference(n):
+    # d > n has no edges; a counter too narrow to hold d would wrap and
+    # add some, and max_code_size never searches there, so only this
+    # direct check sees it
+    adjacency = reference_adjacency(n)
+    for d in range(1, n + 3):
+        graph = _CliqueGraph(n, d)
+        assert graph.adj_mask == adjacency(d), (n, d)
+        assert graph.words == sorted(range(1 << n), key=lambda w: (w.bit_count(), w))
+
+
+# ---------------------------------------------------------------------------
+# The one-mask colouring sweep
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), nverts=st.integers(1, 70),
+       density=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+@example(seed=0, nverts=1, density=0.5)
+def test_color_order_matches_two_step_sweep(seed, nverts, density):
+    adj, rng = random_graph(seed, nverts, density)
+    search = CliqueSearch(adj, Budget(None))
+    for _ in range(4):
+        cand = rng.getrandbits(nverts)
+        for kmin in (-2, 0, 1, 2, 3, 5, 8):
+            assert search._color_order(cand, kmin) == reference_color_order(
+                adj, cand, kmin), (cand, kmin)
+
+
+# ---------------------------------------------------------------------------
+# Node counts, values, witnesses and designs of the replaced kernels
+# ---------------------------------------------------------------------------
+
+# (n, d): (A2(n,d), serial nodes)
+SERIAL_A2 = {
+    (3, 1): (8, 6), (3, 2): (4, 2), (3, 3): (2, 0), (3, 4): (1, 0), (3, 5): (1, 0),
+    (4, 1): (16, 14), (4, 2): (8, 6), (4, 3): (2, 0), (4, 4): (2, 0), (4, 5): (1, 0),
+    (4, 6): (1, 0),
+    (5, 1): (32, 30), (5, 2): (16, 14), (5, 3): (4, 2), (5, 4): (2, 0), (5, 5): (2, 0),
+    (5, 6): (1, 0), (5, 7): (1, 0),
+    (6, 1): (64, 62), (6, 2): (32, 30), (6, 3): (8, 20), (6, 4): (4, 2), (6, 5): (2, 0),
+    (6, 6): (2, 0), (6, 7): (1, 0), (6, 8): (1, 0),
+    (7, 1): (128, 126), (7, 2): (64, 62), (7, 3): (16, 574), (7, 4): (8, 15),
+    (7, 5): (2, 0), (7, 6): (2, 0), (7, 7): (2, 0), (7, 8): (1, 0), (7, 9): (1, 0),
+    (9, 5): (6, 69),
+}
+
+SERIAL_WITNESSES = {
+    (6, 3): (0, 7, 25, 30, 42, 45, 51, 52),
+    (7, 3): (0, 7, 27, 28, 42, 45, 49, 54, 73, 78, 82, 85, 99, 100, 120, 127),
+    (7, 4): (0, 15, 51, 60, 85, 90, 102, 105),
+    (9, 5): (0, 31, 250, 372, 425, 455),
+}
+
+# (n, d, threads): (nodes, witness); the values are those of SERIAL_A2
+PARALLEL = {
+    (6, 3, 2): (10, SERIAL_WITNESSES[6, 3]),
+    (6, 3, 3): (15, SERIAL_WITNESSES[6, 3]),
+    (7, 3, 2): (265, (0, 7, 25, 30, 43, 44, 50, 53, 74, 77, 83, 84, 97, 102, 120, 127)),
+    (7, 3, 3): (327, (0, 7, 25, 30, 43, 44, 50, 53, 74, 77, 83, 84, 97, 102, 120, 127)),
+    (9, 5, 2): (124, (0, 31, 227, 374, 440, 461)),
+    (9, 5, 3): (126, (0, 31, 227, 374, 440, 461)),
+}
+
+# The exact_packing instances of the benchmark's packing workload:
+# (v, b, target): (status, nodes)
+PACKINGS = {
+    **{(r, 4, packing_number_formula(r)): ("found", 0) for r in (4, 5, 6, 7, 8, 9, 11, 12, 13)},
+    (10, 4, 5): ("found", 4), (14, 4, 14): ("found", 74), (12, 3, 19): ("found", 18),
+    **{(r, 4, packing_number_formula(r) + 1): ("impossible", 0) for r in range(4, 9)},
+    (9, 4, 4): ("impossible", 20), (10, 4, 6): ("impossible", 50),
+    (11, 4, 7): ("impossible", 6310), (13, 5, 4): ("impossible", 315),
+}
+
+DESIGNS = {
+    (10, 4, 5): ((1, 2, 3, 4), (1, 5, 9, 10), (2, 7, 8, 10), (3, 6, 8, 9), (4, 5, 6, 7)),
+    (14, 4, 14): ((1, 2, 3, 4), (1, 5, 13, 14), (1, 6, 9, 11), (1, 8, 10, 12),
+                  (2, 5, 10, 11), (2, 6, 12, 14), (2, 7, 8, 9), (3, 5, 9, 12),
+                  (3, 6, 8, 13), (3, 7, 10, 14), (4, 5, 6, 7), (4, 8, 11, 14),
+                  (4, 9, 10, 13), (7, 11, 12, 13)),
+    (12, 3, 19): ((1, 2, 3), (1, 4, 12), (1, 5, 11), (1, 6, 8), (1, 9, 10), (2, 4, 10),
+                  (2, 5, 9), (2, 6, 12), (2, 8, 11), (3, 4, 11), (3, 5, 12), (3, 6, 10),
+                  (3, 8, 9), (4, 7, 8), (5, 6, 7), (5, 8, 10), (6, 9, 11), (7, 9, 12),
+                  (10, 11, 12)),
+}
+
+
+def test_serial_a2_nodes_values_and_witnesses_pinned():
+    for (n, d), (value, nodes) in SERIAL_A2.items():
+        entry = max_code_size(n, d, force_compute=True)
+        assert (entry.value, entry.nodes, entry.complete) == (value, nodes, True), (n, d)
+        if (n, d) in SERIAL_WITNESSES:
+            assert entry.witness == SERIAL_WITNESSES[n, d], (n, d)
+
+
+@pytest.mark.parametrize("n,d,threads", sorted(PARALLEL))
+def test_parallel_nodes_and_witnesses_pinned(n, d, threads):
+    nodes, witness = PARALLEL[n, d, threads]
+    entry = max_code_size(n, d, force_compute=True, threads=threads)
+    assert (entry.value, entry.nodes, entry.witness, entry.complete) == (
+        SERIAL_A2[n, d][0], nodes, witness, True)
+
+
+def test_packing_workload_nodes_and_designs_pinned():
+    for (v, b, target), (status, nodes) in PACKINGS.items():
+        res = exact_packing(v, b, target)
+        assert (res.status, res.nodes) == (status, nodes), (v, b, target)
+        if (v, b, target) in DESIGNS:
+            assert res.design.blocks == DESIGNS[v, b, target], (v, b, target)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pircodes.search as search_module
 from pircodes.budget import Budget
@@ -22,6 +23,39 @@ from pircodes.search import (
 )
 
 from brute_force import brute_force_encoder_search
+
+
+def reference_greedy_swap(n: int, size: int, dmin: int, rng: random.Random) -> list[int]:
+    """One heuristic restart as it was: every word's conflicts found by a
+    scan of all chosen words.  `search._greedy_swap` keeps neighbour counts
+    instead and must leave the same words in the same order and the
+    generator in the same state."""
+    universe = list(range(1 << n))
+    order = universe[:]
+    rng.shuffle(order)
+    chosen: list[int] = []
+    for w in order:
+        if all((w ^ c).bit_count() >= dmin for c in chosen):
+            chosen.append(w)
+    for _ in range(40):
+        if len(chosen) >= size:
+            break
+        improved = False
+        sample = universe[:]
+        rng.shuffle(sample)
+        for w in sample:
+            conflicts = [c for c in chosen if (w ^ c).bit_count() < dmin]
+            if not conflicts:
+                chosen.append(w)
+                improved = True
+            elif len(conflicts) == 1 and conflicts[0] != w and rng.random() < 0.5:
+                chosen.remove(conflicts[0])
+                chosen.append(w)
+                improved = True
+        if not improved and len(chosen) < size:
+            for _ in range(min(3, len(chosen))):
+                chosen.pop(rng.randrange(len(chosen)))
+    return chosen
 
 
 def random_code(rng: random.Random, n: int, m: int) -> Code:
@@ -187,6 +221,21 @@ class TestSearchCodes:
                                                    seed=1, restarts=200)]
         assert implicit == explicit and len(implicit) == 3
 
+    def test_misuse_raises_at_the_call(self, tmp_path):
+        ck = tmp_path / "search.ckpt"
+        for kwargs in ({"mode": "heuristic", "budget": 1}, {"mode": "greedy"},
+                       {"size": 65}, {"seed": 3}):
+            with pytest.raises(UsageError):
+                search_codes(**{"n": 6, "size": 4, "dmin": 3, "checkpoint": str(ck),
+                                **kwargs})  # raised before any next()
+        assert not ck.exists()
+
+    def test_checkpoint_opened_when_the_stream_starts(self, tmp_path):
+        ck = tmp_path / "search.ckpt"
+        stream = search_codes(5, 4, 3, checkpoint=str(ck))
+        assert not ck.exists()
+        assert len(list(stream)) == 1 and ck.exists()
+
     def test_heuristic_finds_hamming_length7(self):
         found = list(search_codes(7, 16, 3, mode="heuristic", seed=1, limit=1,
                                   restarts=300))
@@ -260,6 +309,36 @@ class TestSearchCodes:
         assert len(out) == 1
         h = out[0]
         assert min_distance(h) == 3 and h.size == 16
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), dmin=st.integers(0, 5), size_share=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=8, dmin=3, size_share=0.08, seed=1)  # a (8,20,3) restart: many swaps
+@example(n=6, dmin=0, size_share=1.0, seed=2)  # no word conflicts with any other
+def test_greedy_swap_matches_reference(n, dmin, size_share, seed):
+    universe = list(range(1 << n))
+    ball = [m for m in universe if m.bit_count() < dmin]
+    size = max(1, round(size_share * len(universe)))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert search_module._greedy_swap(universe, ball, size, rng) == reference_greedy_swap(
+        n, size, dmin, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n,size,dmin,seed,restarts", [
+    (6, 8, 3, 5, 20), (7, 16, 3, 1, 30), (8, 16, 3, 2, 10), (8, 20, 3, 3, 5),
+    (5, 4, 1, 1, 10), (6, 4, 4, 9, 10), (7, 9, 3, 4, 6),
+])
+def test_heuristic_stream_matches_reference(n, size, dmin, seed, restarts):
+    expected = []
+    for ridx in range(restarts):
+        chosen = reference_greedy_swap(n, size, dmin, random.Random(f"pircodes:{seed}:{ridx}"))
+        code = tuple(sorted(chosen)[:size])
+        if len(chosen) >= size and code not in expected:
+            expected.append(code)
+    stream = search_codes(n, size, dmin, mode="heuristic", seed=seed, restarts=restarts)
+    assert [c.values for c in stream] == expected
 
 
 class TestHuntPipeline:
