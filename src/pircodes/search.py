@@ -798,7 +798,8 @@ def _greedy_swap(universe: list[int], ball: list[int], size: int,
             near[w ^ m] += 1
 
     def drop(c: int) -> None:
-        members.discard(c)
+        chosen.remove(c)
+        members.remove(c)
         for m in ball:
             near[c ^ m] -= 1
 
@@ -817,15 +818,13 @@ def _greedy_swap(universe: list[int], ball: list[int], size: int,
                 improved = True
             # one conflict that is not w itself: swap it out half the time
             elif near[w] == 1 and w not in members and rng.random() < 0.5:
-                c = next(w ^ m for m in ball if w ^ m in members)
-                chosen.remove(c)
-                drop(c)
+                drop(next(w ^ m for m in ball if w ^ m in members))
                 add(w)
                 improved = True
         if not improved and len(chosen) < size:
             # plateau: random kick, remove a few words
             for _ in range(min(3, len(chosen))):
-                drop(chosen.pop(rng.randrange(len(chosen))))
+                drop(chosen[rng.randrange(len(chosen))])
     return chosen
 
 
