@@ -3,23 +3,26 @@ search, and the assembled shortest-length optimality reports.
 
 A2(n,d) is the maximum clique in the graph on all 2^n words with edges
 between words at distance >= d.  The search pins the zero word (the graph
-is translation-invariant) and branches on the weight class of the smallest
-nonzero clique member, which any coordinate permutation can normalize to
-the word 0..01..1 of that weight; inside a branch it runs the
-greedy-coloring branch and bound of `clique` on vertex indices of the
-words in (weight, value) order, and maps the indices back to words.
+is translation-invariant) and the least nonzero clique member, which any
+coordinate permutation can normalize to the word 0..01..1 of its weight
+(the class seed).  Each (class seed, second vertex) pair is one subtree;
+the subtrees are dealt round-robin into one chunk per thread, and each
+chunk runs the greedy-coloring branch and bound of `clique` on vertex
+indices of the words in (weight, value) order on its share of the budget.
+threads=1 is the single chunk, run in the calling process; the chunks'
+best cliques are merged and mapped back to words.
 The graph is built once per call by a bitsliced plane counter: plane b
 holds the indices of the words with bit b set, and a word's row is the
 threshold ``count >= d`` over the n planes, complemented where the word
 has a 1, which is about n log n big-int operations per word in place of
-2^n pair tests.  Parallel workers receive that adjacency and return
+2^n pair tests.  Worker processes receive that adjacency and return
 vertex indices.
-The search starts from the pair {0, 0..01..1 of weight d} (from {0} when
-n < d), which it must be given because the engine records only cliques it
+The answer starts from the pair {0, 0..01..1 of weight d} (from {0} when
+n < d), which must be given because the engine records only cliques it
 branches to.  No heuristic incumbent is needed: branching from the highest
-colour dives to a large clique at once (A2(8,3) holds 20 after 5,741
-nodes), and the colouring bound prunes from there.  Serial and parallel
-calls spend at most what is left of one budget (see `max_code_size`).
+colour dives to a large clique at once (A2(8,3) holds 20 after 4,691
+nodes at threads=1), and the colouring bound prunes from there.  Every call spends at most what is left of one budget (see
+`max_code_size`).
 Values at n >= 9 are served from a reference table and flagged as
 literature data, never claimed as computed.
 """
@@ -34,7 +37,7 @@ from .budget import Budget, ensure_budget
 from .clique import CliqueSearch
 from .constructions import build_pir3
 from .errors import UsageError
-from .gf2 import Code, LinearCode, min_distance
+from .gf2 import Code, min_distance
 from .hamming import check_no_3pir_any_encoder
 from .recovery import Encoder, LinearEncoder, verify_pir
 
@@ -81,10 +84,8 @@ def check_mindist_bound(
     """
     if t < 1 or mu < 1:
         raise UsageError("need t >= 1 and mu >= 1")
-    if isinstance(encoder, LinearEncoder):
-        d = min_distance(LinearCode(encoder.generator))
-    else:
-        d = min_distance(encoder.associated_code())
+    d = min_distance(encoder if isinstance(encoder, LinearEncoder)
+                     else encoder.associated_code())
     bound = -(-t // mu)
     return MinDistBoundCheck(d, bound, bound <= d, not pir_verified)
 
@@ -156,21 +157,11 @@ def _at_least(d: int, width: int, indicators: list[int]) -> int:
     return greater | equal
 
 
-def _weight_branch(search: CliqueSearch, g: _CliqueGraph, w: int) -> None:
-    """Cliques through 0 whose least nonzero member has weight w >= d,
-    normalized by a coordinate permutation to the word 0..01..1."""
-    zero_idx = g.index[0]
-    i_rep = g.index[(1 << w) - 1]
-    cand = g.adj_mask[i_rep] & g.adj_mask[zero_idx]
-    cand &= ~((1 << (i_rep + 1)) - 1)  # only members after the class seed
-    search.expand([zero_idx, i_rep], cand)
-
-
-def _second_vertex_worker(args):
-    """Run a chunk of (class seed, second vertex) subtrees in one process on
-    the parent's adjacency; return the best clique as vertex indices."""
+def _second_vertex_worker(args, progress: Callable[[str], None] | None = None):
+    """Run a chunk of (class seed, second vertex) subtrees on the parent's
+    adjacency; return the best clique as vertex indices."""
     adj, zero_idx, tasks, limit = args
-    search = CliqueSearch(adj, Budget(limit))
+    search = CliqueSearch(adj, Budget(limit), progress)
     for i_rep, i_u in tasks:
         # expand records only cliques it branches to: the pinned triple is
         # a clique even when no vertex extends it
@@ -199,13 +190,16 @@ def max_code_size(
     (from {0} when n < d) and finds its own larger cliques; the colouring
     bound prunes well once the first deep dive has set an incumbent.
 
-    Budget contract: the call's nodes never exceed what is left of the
-    limit when it starts (limit - used), serial or parallel, and are added
-    to ``budget.used``.  With threads > 1 the (weight class, second
-    vertex) subtrees run in `threads` worker processes and what is left of
-    the limit is split evenly between them; a chunk that runs out of its
-    share makes the result a lower-bound witness with complete=False, as a
-    serial cut does, even when another chunk left part of its share unused.
+    One decomposition serves every thread count: the (weight class, second
+    vertex) subtrees are dealt round-robin into `threads` chunks, and each
+    chunk gets its share of what is left of the limit (limit - used) when
+    the call starts.  threads=1 is the single chunk holding every subtree
+    in order, run in the calling process (with `progress`); more chunks run
+    in that many worker processes.  The call's nodes never exceed what was
+    left and are added to ``budget.used``; a chunk that runs out of its
+    share makes the result a lower-bound witness with complete=False, even
+    when another chunk left part of its share unused.  The best clique is
+    the largest any chunk found, ties going to the smaller sorted clique.
     """
     if n < 3:
         raise UsageError("need n >= 3")
@@ -223,61 +217,47 @@ def max_code_size(
     start = time.monotonic()
 
     graph = _CliqueGraph(n, d)
-    start_clique = [0, (1 << d) - 1] if d <= n else [0]
-    branches = list(range(d, n + 1))
-    if threads > 1:
+    adj = graph.adj_mask
+    zero_idx = graph.index[0]
+    tasks: list[tuple[int, int]] = []
+    for w in range(d, n + 1):
+        i_rep = graph.index[(1 << w) - 1]
+        cand = adj[i_rep] & adj[zero_idx]
+        cand &= ~((1 << (i_rep + 1)) - 1)  # only members after the class seed
+        while cand:
+            low = cand & -cand
+            tasks.append((i_rep, low.bit_length() - 1))
+            cand ^= low
+    chunks = [c for c in (tasks[i::threads] for i in range(threads)) if c]
+    if budget.limit is None:
+        shares = [None] * len(chunks)
+    else:
+        left = max(budget.limit - budget.used, 0)
+        shares = [left // len(chunks) + (i < left % len(chunks))
+                  for i in range(len(chunks))]
+    args = [(adj, zero_idx, chunk, share) for chunk, share in zip(chunks, shares)]
+    if threads == 1:
+        parts = [_second_vertex_worker(a, progress) for a in args]
+    else:
         from concurrent.futures import ProcessPoolExecutor
 
-        zero_idx = graph.index[0]
-        tasks: list[tuple[int, int]] = []
-        for w in branches:
-            i_rep = graph.index[(1 << w) - 1]
-            cand = graph.adj_mask[i_rep] & graph.adj_mask[zero_idx]
-            cand &= ~((1 << (i_rep + 1)) - 1)
-            while cand:
-                low = cand & -cand
-                tasks.append((i_rep, low.bit_length() - 1))
-                cand ^= low
-        chunks = [c for c in (tasks[i::threads] for i in range(threads)) if c]
-        if budget.limit is None:
-            shares = [None] * len(chunks)
-        else:
-            left = max(budget.limit - budget.used, 0)
-            shares = [left // len(chunks) + (i < left % len(chunks))
-                      for i in range(len(chunks))]
-        args = [(graph.adj_mask, zero_idx, chunk, share)
-                for chunk, share in zip(chunks, shares)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_second_vertex_worker, args))
-        best_size = len(start_clique)
-        best_clique = start_clique
-        nodes = 0
-        complete = True
-        for size, indices, part_nodes, part_complete in parts:
-            clique = sorted(graph.words[i] for i in indices)
-            nodes += part_nodes
-            complete = complete and part_complete
-            if size > best_size or (size == best_size and clique < best_clique):
-                best_size = size
-                best_clique = clique
-        budget.used += nodes
-        if not complete:
-            budget.exhausted = True  # a chunk's own budget refused a node
-    else:
-        search = CliqueSearch(graph.adj_mask, budget, progress)
-        # expand records only cliques it branches to, never its start
-        search.seed(len(start_clique), [graph.index[w] for w in start_clique])
-        for w in branches:
-            _weight_branch(search, graph, w)
-            if progress is not None:
-                progress(f"weight-class {w} done; best={search.best_size} "
-                         f"nodes={search.nodes}")
-            if search.aborted:
-                break
-        best_size = search.best_size
-        best_clique = sorted(graph.words[i] for i in search.best_clique)
-        nodes = search.nodes
-        complete = not search.aborted
+
+    best_clique = [0, (1 << d) - 1] if d <= n else [0]
+    best_size = len(best_clique)
+    nodes = 0
+    complete = True
+    for size, indices, part_nodes, part_complete in parts:
+        clique = sorted(graph.words[i] for i in indices)
+        nodes += part_nodes
+        complete = complete and part_complete
+        if size > best_size or (size == best_size and clique < best_clique):
+            best_size = size
+            best_clique = clique
+    budget.used += nodes
+    if not complete:
+        budget.exhausted = True  # a chunk's own budget refused a node
 
     elapsed = time.monotonic() - start
     if progress is not None:

@@ -66,6 +66,12 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _write_out(args, payload: dict) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+
+
 def _load_encoder(args) -> recovery.Encoder:
     if getattr(args, "encoder", None):
         return recovery.read_encoder(args.encoder)
@@ -106,9 +112,7 @@ def _construction_text(code: constructions.ConstructedCode) -> str:
 def _cmd_construct_pir3(args) -> int:
     code = constructions.build_pir3(args.k)
     payload = constructions.construction_to_jsonable(code)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+    _write_out(args, payload)
     _emit(args, payload, _construction_text(code))
     return EXIT_OK
 
@@ -120,9 +124,7 @@ def _cmd_construct_packing(args) -> int:
         design = constructions.auto_packing(args.k, args.t, budget=args.budget)
     code = constructions.build_packing_pir(args.k, args.t, design)
     payload = constructions.construction_to_jsonable(code)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+    _write_out(args, payload)
     _emit(args, payload, _construction_text(code))
     return EXIT_OK
 
@@ -133,9 +135,7 @@ def _cmd_extend(args) -> int:
     code = constructions.construction_from_jsonable(obj)
     extended = constructions.extend_for_even_t(code)
     payload = constructions.construction_to_jsonable(extended)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+    _write_out(args, payload)
     _emit(args, payload, _construction_text(extended))
     return EXIT_OK
 
@@ -330,10 +330,9 @@ def _cmd_search_open11(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, budget: bool = False) -> None:
-    if budget:
-        p.add_argument("--budget", type=int, default=None,
-                       help="decision-node budget (default: unlimited)")
+def _add_budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=int, default=None,
+                   help="decision-node budget (default: unlimited)")
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--design", help="packing file (default: search for one)")
     p.add_argument("--out")
-    _add_common(p, budget=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_construct_packing)
 
     p = sub.add_parser("extend", help="append a parity position (t odd -> t+1)")
@@ -380,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=1)
     _add_encoder_flags(p)
     p.add_argument("--witnesses", help="construction JSON with witness families")
-    _add_common(p, budget=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_verify_pir)
     p = vsub.add_parser("batch", help="every multiset of t requests")
     p.add_argument("--t", type=int, required=True)
     _add_encoder_flags(p)
-    _add_common(p, budget=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_verify_batch)
 
     p = sub.add_parser("mindist", help="minimum distance of a code")
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     how.add_argument("--target", type=int, default=None)
     how.add_argument("--greedy", action="store_true", help="takes no --budget")
     p.add_argument("--out")
-    _add_common(p, budget=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_packing_find)
     p = psub.add_parser("number", help="closed-form packing number for 4-blocks")
     p.add_argument("--r", type=int, required=True)
@@ -432,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("PIRCODES_THREADS", "1"),
         help="worker processes for the clique search (env PIRCODES_THREADS)",
     )
-    _add_common(p, budget=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_maxsize)
 
     p = sub.add_parser("optimal-table", help="shortest 3-availability lengths")
@@ -456,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None,
                    help="heuristic mode only (default: 200)")
     p.add_argument("--checkpoint")
-    _add_common(p, budget=True)  # exhaustive mode only
+    _add_budget(p)  # exhaustive mode only
     p.set_defaults(func=_cmd_search_codes)
     p = ssub.add_parser("open11", help="length-11 size-128 hunt harness")
     p.add_argument("--seed", type=int, default=1)

@@ -79,26 +79,14 @@ class Encoder:
 
 
 @dataclass(frozen=True)
-class LinearEncoder(Encoder):
-    generator: BitMatrix
-
-    def __post_init__(self) -> None:
-        if self.generator.rank() != self.generator.nrows:
-            raise UsageError("linear encoder needs a full-row-rank generator")
-
-    @property
-    def k(self) -> int:
-        return self.generator.nrows
-
-    @property
-    def n(self) -> int:
-        return self.generator.cols
+class LinearEncoder(LinearCode, Encoder):
+    """The encoder view of a linear code: data word a maps to a·G."""
 
     def encode(self, data: int) -> int:
         return self.generator.encode(data)
 
     def associated_code(self) -> Code:
-        return LinearCode(self.generator).span()
+        return self.span()
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ per vertex.  Each is held here to the code it replaced, kept only in these
 tests: the pairwise distance loop and the two-step sweep
 (``avail &= ~adj[v]; avail ^= low``).  The node counts, values, witnesses
 and designs pinned below are those of the pairwise graph and the two-step
-sweep; a faster kernel must reproduce them exactly.
+sweep; a faster kernel must reproduce them exactly.  The serial A2 pins are
+those of the one-chunk decomposition `max_code_size` uses at every thread
+count; the per-weight-class loop it replaced is kept here as a reference
+for values and completeness.
 """
 
 import random
@@ -88,6 +91,26 @@ def reference_color_order(adj, cand, kmin):
     return classes
 
 
+def reference_weight_branch_a2(n, d):
+    """The threads=1 search as it was: one engine seeded with the start
+    pair expands each weight class in turn from {0, class seed}; return
+    (value, complete, nodes)."""
+    graph = _CliqueGraph(n, d)
+    adj = graph.adj_mask
+    zero_idx = graph.index[0]
+    search = CliqueSearch(adj, Budget(None))
+    start = [0, (1 << d) - 1] if d <= n else [0]
+    search.seed(len(start), [graph.index[w] for w in start])
+    for w in range(d, n + 1):
+        i_rep = graph.index[(1 << w) - 1]
+        cand = adj[i_rep] & adj[zero_idx]
+        cand &= ~((1 << (i_rep + 1)) - 1)
+        search.expand([zero_idx, i_rep], cand)
+        if search.aborted:
+            break
+    return search.best_size, not search.aborted, search.nodes
+
+
 def random_graph(seed, nverts, density):
     rng = random.Random(seed)
     adj = [0] * nverts
@@ -141,23 +164,31 @@ def test_color_order_matches_two_step_sweep(seed, nverts, density):
 
 # (n, d): (A2(n,d), serial nodes)
 SERIAL_A2 = {
-    (3, 1): (8, 6), (3, 2): (4, 2), (3, 3): (2, 0), (3, 4): (1, 0), (3, 5): (1, 0),
-    (4, 1): (16, 14), (4, 2): (8, 6), (4, 3): (2, 0), (4, 4): (2, 0), (4, 5): (1, 0),
+    (3, 1): (8, 5), (3, 2): (4, 1), (3, 3): (2, 0), (3, 4): (1, 0), (3, 5): (1, 0),
+    (4, 1): (16, 13), (4, 2): (8, 5), (4, 3): (2, 0), (4, 4): (2, 0), (4, 5): (1, 0),
     (4, 6): (1, 0),
-    (5, 1): (32, 30), (5, 2): (16, 14), (5, 3): (4, 2), (5, 4): (2, 0), (5, 5): (2, 0),
+    (5, 1): (32, 29), (5, 2): (16, 13), (5, 3): (4, 1), (5, 4): (2, 0), (5, 5): (2, 0),
     (5, 6): (1, 0), (5, 7): (1, 0),
-    (6, 1): (64, 62), (6, 2): (32, 30), (6, 3): (8, 20), (6, 4): (4, 2), (6, 5): (2, 0),
+    (6, 1): (64, 61), (6, 2): (32, 29), (6, 3): (8, 5), (6, 4): (4, 1), (6, 5): (2, 0),
     (6, 6): (2, 0), (6, 7): (1, 0), (6, 8): (1, 0),
-    (7, 1): (128, 126), (7, 2): (64, 62), (7, 3): (16, 574), (7, 4): (8, 15),
+    (7, 1): (128, 125), (7, 2): (64, 61), (7, 3): (16, 198), (7, 4): (8, 5),
     (7, 5): (2, 0), (7, 6): (2, 0), (7, 7): (2, 0), (7, 8): (1, 0), (7, 9): (1, 0),
-    (9, 5): (6, 69),
+    (9, 5): (6, 122),
+}
+
+# Nodes of the per-weight-class loop that served threads=1 before, which
+# counted the choice of the second word as an engine node
+WEIGHT_BRANCH_NODES = {
+    (3, 1): 6, (3, 2): 2, (4, 1): 14, (4, 2): 6, (5, 1): 30, (5, 2): 14, (5, 3): 2,
+    (6, 1): 62, (6, 2): 30, (6, 3): 20, (6, 4): 2, (7, 1): 126, (7, 2): 62,
+    (7, 3): 574, (7, 4): 15, (9, 5): 69,
 }
 
 SERIAL_WITNESSES = {
     (6, 3): (0, 7, 25, 30, 42, 45, 51, 52),
-    (7, 3): (0, 7, 27, 28, 42, 45, 49, 54, 73, 78, 82, 85, 99, 100, 120, 127),
+    (7, 3): (0, 7, 25, 30, 43, 44, 50, 53, 74, 77, 83, 84, 97, 102, 120, 127),
     (7, 4): (0, 15, 51, 60, 85, 90, 102, 105),
-    (9, 5): (0, 31, 250, 372, 425, 455),
+    (9, 5): (0, 31, 227, 374, 440, 461),
 }
 
 # (n, d, threads): (nodes, witness); the values are those of SERIAL_A2
@@ -199,6 +230,21 @@ def test_serial_a2_nodes_values_and_witnesses_pinned():
         assert (entry.value, entry.nodes, entry.complete) == (value, nodes, True), (n, d)
         if (n, d) in SERIAL_WITNESSES:
             assert entry.witness == SERIAL_WITNESSES[n, d], (n, d)
+
+
+def test_weight_branch_reference_agrees_on_values():
+    for (n, d), (value, _) in SERIAL_A2.items():
+        assert reference_weight_branch_a2(n, d) == (
+            value, True, WEIGHT_BRANCH_NODES.get((n, d), 0)), (n, d)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(3, 8) for d in range(1, n + 2)]
+                         + [(9, 5)])
+def test_every_thread_count_returns_the_same_result(n, d):
+    results = {threads: max_code_size(n, d, force_compute=True, threads=threads)
+               for threads in (1, 2, 3)}
+    assert len({(e.value, e.witness, e.complete) for e in results.values()}) == 1, (
+        {t: (e.value, e.witness, e.complete) for t, e in results.items()})
 
 
 @pytest.mark.parametrize("n,d,threads", sorted(PARALLEL))
