@@ -20,9 +20,9 @@ vertex indices.
 The answer starts from the pair {0, 0..01..1 of weight d} (from {0} when
 n < d), which must be given because the engine records only cliques it
 branches to.  No heuristic incumbent is needed: branching from the highest
-colour dives to a large clique at once (A2(8,3) holds 20 after 4,691
-nodes at threads=1), and the colouring bound prunes from there.  Every call spends at most what is left of one budget (see
-`max_code_size`).
+colour dives to a large clique at once (A2(8,3) holds 20 after 6,844
+nodes at threads=1), and the colouring bound prunes from there.  Every
+call spends at most what is left of one budget (see `max_code_size`).
 Values at n >= 9 are served from a reference table and flagged as
 literature data, never claimed as computed.
 """

@@ -191,16 +191,15 @@ def _cmd_packing_find(args) -> int:
             raise UsageError("provide --target N or --greedy")
         res = designs.exact_packing(args.v, args.blocksize, args.target,
                                     budget=args.budget)
+        design = res.design
         payload = {"status": res.status, "nodes": res.nodes}
-        if res.design is not None:
-            payload["blocks"] = [list(b) for b in res.design.blocks]
-            text = designs.dump_packing(res.design).rstrip()
+        if design is not None:
+            payload["blocks"] = [list(b) for b in design.blocks]
+            text = designs.dump_packing(design).rstrip()
         else:
             text = f"status: {res.status} (nodes={res.nodes})"
-    if args.out and "blocks" in payload:
-        d = designs.PackingDesign(args.v, args.blocksize, 2, 1,
-                                  tuple(tuple(b) for b in payload["blocks"]))
-        designs.write_packing(d, args.out)
+    if args.out and design is not None:
+        designs.write_packing(design, args.out)
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -2,16 +2,19 @@
 
 A graph is a list of int adjacency bitmasks over vertex indices, without
 self-loops, so a candidate set meets a neighbourhood in one ``&``.  Each
-node colours its candidates greedily into clique-cover classes (Tomita et
-al., WALCOM 2010) and never branches on a vertex whose colour plus the
-depth cannot beat the incumbent.  The colouring sweep spends one ``&`` per
-coloured vertex on a mask built once per search, ``~(adj[v] | 1 << v)``,
-which drops the vertex and its neighbours from the class's candidates
-together (the bitset style of BBMC, San Segundo et al. 2011).  The
-colouring sweeps from the lowest index up and branching starts at the
-highest colour, so the caller's index order steers the search.
-Callers build the graph, pin their symmetry-breaking vertices as the
-starting clique, and map the indices of ``best_clique`` back.
+node colours its candidates greedily into clique-cover classes (the plain
+sequential colouring of MCQ, Tomita and Seki 2003) and never branches on a
+vertex whose colour plus the depth cannot beat the incumbent.  There is no
+Re-NUMBER pass (MCS, Tomita et al., WALCOM 2010): in pure Python it made
+each node about 1.6 times dearer but removed only about a third of the
+nodes.  The colouring sweep spends one ``&`` per coloured vertex on a mask
+built once per search, ``~(adj[v] | 1 << v)``, which drops the vertex and
+its neighbours from the class's candidates together (the bitset style of
+BBMC, San Segundo et al. 2011).  The colouring sweeps from the lowest index
+up and branching starts at the highest colour, so the caller's index order
+steers the search.  Callers build the graph, pin their symmetry-breaking
+vertices as the starting clique, and map the indices of ``best_clique``
+back.
 """
 
 from __future__ import annotations
@@ -52,12 +55,11 @@ class CliqueSearch:
             self.best_size = size
             self.best_clique = sorted(clique)
 
-    def _color_order(self, cand: int, kmin: int) -> list[int]:
-        """Greedy clique-cover classes by bitmask sweeps, with a relocation
-        pass: a vertex about to receive a color above the prune threshold
-        kmin is moved below it when its single conflict in some low class
-        can hop to another low class.  Output is grouped by ascending color."""
-        adj = self.adj
+    def _color_order(self, cand: int) -> list[int]:
+        """Greedy clique-cover classes, one bitmask sweep per class: the
+        sweep runs up from the lowest uncoloured vertex and takes every
+        vertex with no neighbour already in the class.  Output is grouped
+        by ascending color."""
         nonadj = self.nonadj
         classes: list[int] = []
         uncolored = cand
@@ -69,33 +71,7 @@ class CliqueSearch:
                 members |= low
                 avail &= nonadj[low.bit_length() - 1]
             uncolored &= ~members
-            if 0 < kmin <= len(classes):
-                kept = 0
-                rest = members
-                limit = min(kmin, len(classes))
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    v = low.bit_length() - 1
-                    moved = False
-                    for c1 in range(limit):
-                        conflict = adj[v] & classes[c1]
-                        if conflict.bit_count() != 1:
-                            continue
-                        w = conflict.bit_length() - 1
-                        for c2 in range(limit):
-                            if c2 != c1 and not (adj[w] & classes[c2]):
-                                classes[c2] |= conflict
-                                classes[c1] = (classes[c1] ^ conflict) | low
-                                moved = True
-                                break
-                        if moved:
-                            break
-                    if not moved:
-                        kept |= low
-                members = kept
-            if members:
-                classes.append(members)
+            classes.append(members)
         return classes
 
     def expand(self, current: list[int], cand: int) -> None:
@@ -107,7 +83,7 @@ class CliqueSearch:
         live = cand
         depth = len(current)
         kmin = self.best_size - depth
-        classes = self._color_order(cand, kmin)
+        classes = self._color_order(cand)
         # Only vertices colored above the prune threshold ever get branched.
         for color in range(len(classes), max(kmin, 0), -1):
             cls = classes[color - 1]

@@ -179,16 +179,15 @@ def auto_packing(k: int, t: int, budget=None) -> PackingDesign:
     """Find a pair-packing with blocks of size t-1 and at least k blocks over
     as few points as the search settles within budget.
 
-    Block size 2 and 4 use the closed-form point counts; other sizes probe
+    Block size 4 starts at the closed-form point count; every size probes
     upward, which always terminates because (t-1) disjoint blocks of fresh
-    points are a packing.
+    points are a packing.  For block size 2, `exact_packing`'s greedy shortcut
+    or counting bound settles every probe at zero nodes, and the first v
+    found is `min_redundancy_pir3(k)`.
     """
     if t < 3:
         raise UsageError("t must be >= 3: strength-2 packings need blocks of >= 2 points")
     blocksize = t - 1
-    if blocksize == 2:
-        v = min_redundancy_pir3(k)
-        return PackingDesign(v, 2, 2, 1, all_pairs_design(v).blocks[:k])
     if blocksize == 4:
         v = 4
         while packing_number_formula(v) < k:

@@ -168,7 +168,7 @@ def exact_packing(
     The engine branches first on high indices; with the blocks indexed in
     reverse-lexicographic order, it grows the design from the pinned block
     through the lowest points (indexed lexicographically, (14,4,14) takes
-    783,621 nodes instead of 74).
+    852,501 nodes instead of 89).
 
     A found design lists its blocks in lexicographic order, starting with
     {1..blocksize}.  "impossible" requires the search to have exhausted all

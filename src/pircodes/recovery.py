@@ -590,7 +590,6 @@ def verify_batch(
     encoder: Encoder,
     t: int,
     budget: Budget | int | None = None,
-    collect_witnesses: bool = True,
 ) -> VerifyReport:
     """Serve every multiset of t requests with multiplicity 1, unbounded width."""
     if t < 1:
@@ -608,8 +607,7 @@ def verify_batch(
             return _report(head, out, nodes, start,
                            {"query": list(combo), "reason": _FAILURE_REASONS[res.status]},
                            complete=res.status == UNSERVABLE)
-        if collect_witnesses:
-            out.append({"query": list(combo), "sets": [sorted(s) for s in res.plan.sets]})
+        out.append({"query": list(combo), "sets": [sorted(s) for s in res.plan.sets]})
     return _report(head, out, nodes, start)
 
 

@@ -24,7 +24,9 @@ Orderly generation.  Codes containing the zero word are grown one word at
 a time in ascending order; a partial code is kept only if it equals its
 own canonical form.  Removing the largest word of a canonical code leaves
 a canonical code (insertion argument over sorted sequences), so every
-canonical code is reached exactly once through canonical prefixes.
+canonical code is reached exactly once through canonical prefixes.  The
+second word of a canonical code is 0..01..1 of its weight, so generation
+starts from one root {0, 2^w - 1} per weight w >= dmin.
 
 Partition kernel.  The encoder-existence scan and the Hamming no-encoder
 scan share one enumerator of the S(n,3) partitions of the positions into
@@ -499,7 +501,6 @@ def encoder_exists_3pir(
 class SearchStats:
     nodes: int = 0
     emitted: int = 0
-    roots_done: int = 0
     complete: bool = False
 
 
@@ -725,26 +726,20 @@ def _orderly_generation(
         if 0 not in ck.roots_done:
             yield Code.from_values(n, [0])
             ck.record_root(0)
-            stats.roots_done += 1
         stats.complete = not aborted
         return
-    roots = [w for w in range(1, 1 << n) if w.bit_count() >= dmin]
-    for root in roots:
+    # {0, root} is canonical exactly when root is 0..01..1
+    for weight in range(max(dmin, 1), n + 1):
+        root = (1 << weight) - 1
         if root in ck.roots_done:
-            stats.roots_done += 1
             continue
         if aborted:
             break
-        if not is_canonical(Code.from_values(n, [0, root])):
-            ck.record_root(root)
-            stats.roots_done += 1
-            continue
         cands = [u for u in range(root + 1, 1 << n)
                  if u.bit_count() >= dmin and (u ^ root).bit_count() >= dmin]
         yield from extend([0, root], cands)
         if not aborted:
             ck.record_root(root)
-            stats.roots_done += 1
             if progress is not None:
                 progress(f"root={root} nodes={stats.nodes} emitted={stats.emitted}")
     stats.complete = not aborted

@@ -9,10 +9,12 @@ and designs pinned below are those of the pairwise graph and the two-step
 sweep; a faster kernel must reproduce them exactly.  The serial A2 pins are
 those of the one-chunk decomposition `max_code_size` uses at every thread
 count; the per-weight-class loop it replaced is kept here as a reference
-for values and completeness.
+for values and completeness.  The engine itself is held to a Bron-Kerbosch
+maximum clique on small random graphs.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,9 +49,8 @@ def reference_adjacency(n):
     return adjacency
 
 
-def reference_color_order(adj, cand, kmin):
-    """The colouring as it was: the two-step sweep, then the same
-    relocation pass."""
+def reference_color_order(adj, cand):
+    """The colouring as it was: the two-step sweep."""
     classes = []
     uncolored = cand
     while uncolored:
@@ -61,33 +62,7 @@ def reference_color_order(adj, cand, kmin):
             avail &= ~adj[low.bit_length() - 1]
             avail ^= low
         uncolored &= ~members
-        if 0 < kmin <= len(classes):
-            kept = 0
-            rest = members
-            limit = min(kmin, len(classes))
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                moved = False
-                for c1 in range(limit):
-                    conflict = adj[v] & classes[c1]
-                    if conflict.bit_count() != 1:
-                        continue
-                    w = conflict.bit_length() - 1
-                    for c2 in range(limit):
-                        if c2 != c1 and not (adj[w] & classes[c2]):
-                            classes[c2] |= conflict
-                            classes[c1] = (classes[c1] ^ conflict) | low
-                            moved = True
-                            break
-                    if moved:
-                        break
-                if not moved:
-                    kept |= low
-            members = kept
-        if members:
-            classes.append(members)
+        classes.append(members)
     return classes
 
 
@@ -109,6 +84,29 @@ def reference_weight_branch_a2(n, d):
         if search.aborted:
             break
     return search.best_size, not search.aborted, search.nodes
+
+
+def reference_max_clique_size(adj):
+    """The size of a largest clique, by Bron-Kerbosch with pivoting."""
+    best = 0
+
+    def extend(size, cand, done):
+        nonlocal best
+        if not cand and not done:
+            best = max(best, size)
+            return
+        pivot = (cand | done).bit_length() - 1
+        rest = cand & ~adj[pivot]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            extend(size + 1, cand & adj[v], done & adj[v])
+            cand ^= low
+            done |= low
+
+    extend(0, (1 << len(adj)) - 1, 0)
+    return best
 
 
 def random_graph(seed, nverts, density):
@@ -153,9 +151,25 @@ def test_color_order_matches_two_step_sweep(seed, nverts, density):
     search = CliqueSearch(adj, Budget(None))
     for _ in range(4):
         cand = rng.getrandbits(nverts)
-        for kmin in (-2, 0, 1, 2, 3, 5, 8):
-            assert search._color_order(cand, kmin) == reference_color_order(
-                adj, cand, kmin), (cand, kmin)
+        assert search._color_order(cand) == reference_color_order(adj, cand), cand
+
+
+# ---------------------------------------------------------------------------
+# The branch and bound against brute force
+# ---------------------------------------------------------------------------
+
+
+@settings(SETTINGS, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), nverts=st.integers(1, 20),
+       density=st.floats(0.1, 0.9))
+def test_engine_reaches_the_maximum_clique(seed, nverts, density):
+    adj, _ = random_graph(seed, nverts, density)
+    search = CliqueSearch(adj, Budget(None))
+    search.expand([], (1 << nverts) - 1)
+    clique = search.best_clique
+    assert not search.aborted
+    assert search.best_size == len(clique) == reference_max_clique_size(adj)
+    assert all(adj[u] >> v & 1 for u, v in combinations(clique, 2)), clique
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +185,7 @@ SERIAL_A2 = {
     (5, 6): (1, 0), (5, 7): (1, 0),
     (6, 1): (64, 61), (6, 2): (32, 29), (6, 3): (8, 5), (6, 4): (4, 1), (6, 5): (2, 0),
     (6, 6): (2, 0), (6, 7): (1, 0), (6, 8): (1, 0),
-    (7, 1): (128, 125), (7, 2): (64, 61), (7, 3): (16, 198), (7, 4): (8, 5),
+    (7, 1): (128, 125), (7, 2): (64, 61), (7, 3): (16, 209), (7, 4): (8, 5),
     (7, 5): (2, 0), (7, 6): (2, 0), (7, 7): (2, 0), (7, 8): (1, 0), (7, 9): (1, 0),
     (9, 5): (6, 122),
 }
@@ -181,7 +195,7 @@ SERIAL_A2 = {
 WEIGHT_BRANCH_NODES = {
     (3, 1): 6, (3, 2): 2, (4, 1): 14, (4, 2): 6, (5, 1): 30, (5, 2): 14, (5, 3): 2,
     (6, 1): 62, (6, 2): 30, (6, 3): 20, (6, 4): 2, (7, 1): 126, (7, 2): 62,
-    (7, 3): 574, (7, 4): 15, (9, 5): 69,
+    (7, 3): 649, (7, 4): 15, (9, 5): 69,
 }
 
 SERIAL_WITNESSES = {
@@ -195,8 +209,8 @@ SERIAL_WITNESSES = {
 PARALLEL = {
     (6, 3, 2): (10, SERIAL_WITNESSES[6, 3]),
     (6, 3, 3): (15, SERIAL_WITNESSES[6, 3]),
-    (7, 3, 2): (265, (0, 7, 25, 30, 43, 44, 50, 53, 74, 77, 83, 84, 97, 102, 120, 127)),
-    (7, 3, 3): (327, (0, 7, 25, 30, 43, 44, 50, 53, 74, 77, 83, 84, 97, 102, 120, 127)),
+    (7, 3, 2): (286, (0, 7, 25, 30, 43, 44, 50, 53, 74, 77, 83, 84, 97, 102, 120, 127)),
+    (7, 3, 3): (357, (0, 7, 25, 30, 43, 44, 50, 53, 74, 77, 83, 84, 97, 102, 120, 127)),
     (9, 5, 2): (124, (0, 31, 227, 374, 440, 461)),
     (9, 5, 3): (126, (0, 31, 227, 374, 440, 461)),
 }
@@ -205,7 +219,7 @@ PARALLEL = {
 # (v, b, target): (status, nodes)
 PACKINGS = {
     **{(r, 4, packing_number_formula(r)): ("found", 0) for r in (4, 5, 6, 7, 8, 9, 11, 12, 13)},
-    (10, 4, 5): ("found", 4), (14, 4, 14): ("found", 74), (12, 3, 19): ("found", 18),
+    (10, 4, 5): ("found", 4), (14, 4, 14): ("found", 89), (12, 3, 19): ("found", 18),
     **{(r, 4, packing_number_formula(r) + 1): ("impossible", 0) for r in range(4, 9)},
     (9, 4, 4): ("impossible", 20), (10, 4, 6): ("impossible", 50),
     (11, 4, 7): ("impossible", 6310), (13, 5, 4): ("impossible", 315),

@@ -109,7 +109,7 @@ class TestExactPacking:
         assert beyond.status == "impossible"
 
     def test_budget_yields_unknown(self):
-        # the clique search needs 53 nodes to find this design; 50 cannot
+        # the clique search needs 65 nodes to find this design; 50 cannot
         res = exact_packing(15, 4, 15, budget=Budget(50))
         assert res.status == "unknown"
 

@@ -257,6 +257,17 @@ class TestSearchCodes:
         assert sorted(resumed) == sorted(full)
         assert set(part) <= set(resumed)
 
+    @pytest.mark.parametrize("n,size,dmin", [(5, 4, 1), (5, 4, 3), (6, 4, 3), (6, 8, 3)])
+    def test_complete_checkpoint_has_one_root_record_per_weight(self, tmp_path, n, size,
+                                                                 dmin):
+        ck = tmp_path / "search.ckpt"
+        stats = SearchStats()
+        list(search_codes(n, size, dmin, checkpoint=str(ck), stats=stats))
+        assert stats.complete
+        records = [json.loads(line) for line in ck.read_text().splitlines()[1:]]
+        roots = [rec["root"] for rec in records if rec["type"] == "root_done"]
+        assert roots == [(1 << w) - 1 for w in range(dmin, n + 1)]
+
     def test_checkpoint_problem_mismatch_rejected(self, tmp_path):
         ck = str(tmp_path / "search.ckpt")
         list(search_codes(5, 4, 3, checkpoint=ck))
