@@ -339,13 +339,17 @@ class UnitSolution:
     """Solutions of G.x = e_j: one particular column selection plus a kernel basis.
 
     `solution` and the kernel vectors are position masks over the n columns;
-    `solution` is None exactly when e_j is outside the column span.
+    `solution` is None exactly when e_j is outside the column span.  The
+    basis is in systematic form: `pivots` masks the pivot columns of the
+    elimination, `solution` lies inside it, and each kernel vector is one
+    free column outside it plus pivot columns.
     """
 
     n: int
     j: int
     solution: int | None
     kernel: tuple[int, ...]
+    pivots: int
 
     @property
     def solvable(self) -> bool:
@@ -385,25 +389,27 @@ def solve_unit(g: BitMatrix, j: int) -> UnitSolution:
                 rows[i] ^= rows[r]
         pivots.append((r, col))
         r += 1
+    pivot_mask = 0
+    for _, col in pivots:
+        pivot_mask |= 1 << (n - 1 - col)
     for i in range(r, k):
         if rows[i] & 1:
-            return UnitSolution(n, j, None, ())
-    pivot_cols = {col for _, col in pivots}
+            return UnitSolution(n, j, None, (), pivot_mask)
     solution = 0
     for ri, col in pivots:
         if rows[ri] & 1:
             solution |= 1 << (n - 1 - col)
     kernel = []
     for free in range(n):
-        if free in pivot_cols:
-            continue
         vec = 1 << (n - 1 - free)
+        if vec & pivot_mask:
+            continue
         fbit = 1 << (n - free)
         for ri, col in pivots:
             if rows[ri] & fbit:
                 vec |= 1 << (n - 1 - col)
         kernel.append(vec)
-    return UnitSolution(n, j, solution, tuple(kernel))
+    return UnitSolution(n, j, solution, tuple(kernel), pivot_mask)
 
 
 # ---------------------------------------------------------------------------

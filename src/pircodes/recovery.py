@@ -248,16 +248,32 @@ def minimal_recovery_sets(
     """All inclusion-minimal recovery sets of size <= max_width for bit j,
     ordered by (size, positions).
 
-    Linear encoders walk the solution coset of G.x = e_j and keep a support
-    S exactly when the columns of G indexed by S are linearly independent.
-    That is the minimality test: dependent columns give a nonzero kernel
-    vector z inside S, and x + z is a solution with smaller support (z != x
-    because G.x != 0); conversely a smaller recovery set inside S is the
-    support of a solution y, and x + y is a nonzero kernel vector inside S.
-    So no minimal set has more than k positions, and a walk cut by the
-    budget still returns only true minimal sets.  Explicit encoders test
-    subsets in (size, lex) order, pruning supersets of found sets.  The
-    completeness flag drops when the node budget runs out.
+    Linear encoders walk the solution coset of G.x = e_j in Gray order and
+    keep a support S exactly when the columns of G indexed by S are linearly
+    independent.  That is the minimality test: dependent columns give a
+    nonzero kernel vector z inside S, and x + z is a solution with smaller
+    support (z != x because G.x != 0); conversely a smaller recovery set
+    inside S is the support of a solution y, and x + y is a nonzero kernel
+    vector inside S.  So no minimal set has more than k positions, and a
+    walk cut by the budget still returns only true minimal sets.  The test
+    runs in systematic form: each kernel vector is one free column q plus
+    pivot columns a_q, so a kernel vector lies inside S exactly when some
+    nonempty set of free columns of S has pivot parts summing to zero
+    outside S.  The columns of S are thus independent iff the vectors
+    a_q & ~S over the free columns q of S are; a support with no free
+    column passes at once.  The walk charges the budget once for all the
+    elements it can afford.
+
+    Explicit encoders test subsets in (size, lex) order.  S recovers bit j
+    iff it meets the support of c_a ^ c_b for all data words a, b that
+    differ in bit j, i.e. iff S is a transversal of the inclusion-minimal
+    such supports.  A transversal S is minimal iff every position p of S
+    has a private hit, a support that meets S only in p, since otherwise
+    S - {p} is still a transversal.  A transversal that is not minimal
+    contains a smaller minimal one, which the (size, lex) order has already
+    found; so the masks skipped without spending a node are exactly the
+    supersets of found sets.  The completeness flag drops when the node
+    budget runs out.
     """
     budget = ensure_budget(budget)
     used0 = budget.used
@@ -284,29 +300,35 @@ def _minimal_masks(
 def _linear_minimal_masks(
     encoder: LinearEncoder, j: int, max_width: int, budget: Budget
 ) -> tuple[list[int], bool]:
-    g = encoder.generator
-    sol = solve_unit(g, j)
+    sol = solve_unit(encoder.generator, j)
     assert sol.solvable  # full row rank keeps every unit vector reachable
-    n = g.cols
-    column_of_bit = [g.column(n - b) for b in range(n)]
-    width = min(max_width, g.nrows)  # independent columns number at most k
+    width = min(max_width, encoder.k)  # independent columns number at most k
+    pivots = sol.pivots
+    kernel = sol.kernel
+    # pivot_part[b] = a_q, the pivot columns of the kernel vector whose free
+    # column q is bit b.
+    pivot_part = [0] * encoder.n
+    for z in kernel:
+        pivot_part[(z & ~pivots).bit_length() - 1] = z & pivots
+    size = 1 << len(kernel)
+    room = size if budget.limit is None else min(size, max(0, budget.limit - budget.used))
+    budget.spend(room)
+    if room < size:
+        budget.spend()  # refused, so the budget reads exhausted: the walk is cut
+    steps = (*kernel, 0)  # m = 0 reads steps[-1], so the walk starts at the solution
     minimal: list[int] = []
-    complete = True
-    for mask in sol.all_solutions():
-        if not budget.spend():
-            complete = False
-            break
-        if mask.bit_count() > width:
+    x = sol.solution
+    for m in range(room):
+        x ^= steps[(m & -m).bit_length() - 1]
+        if x.bit_count() > width:
             continue
-        # The reduction of gf2.xor_basis_add, inline: one call per column
-        # made the `verify` benchmark 5% slower (wall_s 0.279-0.286 s ->
-        # 0.295-0.300 s over 4 pairs on a shared 2-core Xeon).
-        basis: dict[int, int] = {}  # reduced columns by leading bit
-        rest = mask
+        basis: dict[int, int] = {}  # reduced vectors by leading bit
+        outside = ~x
+        rest = x & ~pivots
         while rest:
             low = rest & -rest
             rest ^= low
-            v = column_of_bit[low.bit_length() - 1]
+            v = pivot_part[low.bit_length() - 1] & outside
             while v:
                 lead = v.bit_length()
                 b = basis.get(lead)
@@ -315,31 +337,55 @@ def _linear_minimal_masks(
                     break
                 v ^= b
             else:
-                break  # a column reduced to zero: the support is not minimal
+                break  # a kernel vector lies inside x: the support is not minimal
         else:
-            minimal.append(mask)
+            minimal.append(x)
     # Position 1 is the top bit, so for equal sizes a larger mask comes
     # first in lexicographic order of positions.
     minimal.sort(key=lambda m: (m.bit_count(), -m))
-    return minimal, complete
+    return minimal, room == size
 
 
 def _explicit_minimal_masks(
     encoder: ExplicitEncoder, j: int, max_width: int, budget: Budget
 ) -> tuple[list[int], bool]:
     n = encoder.n
+    edges = _separating_supports(encoder, j)
     bits = [1 << (n - p) for p in range(1, n + 1)]
     found: list[int] = []
     for size in range(1, max_width + 1):
         for combo in combinations(bits, size):
             mask = sum(combo)
-            if any((f & mask) == f for f in found):
-                continue
+            private = 0  # positions that are the only hit of some edge
+            for e in edges:
+                hit = e & mask
+                if not hit:
+                    keep = False  # misses an edge: not a recovery set
+                    break
+                if not hit & (hit - 1):
+                    private |= hit
+            else:
+                if private != mask:
+                    continue  # a non-minimal transversal contains a found set
+                keep = True
             if not budget.spend():
                 return found, False
-            if _explicit_recovers(encoder, j, mask):
+            if keep:
                 found.append(mask)
     return found, True
+
+
+def _separating_supports(encoder: ExplicitEncoder, j: int) -> list[int]:
+    """Inclusion-minimal supports of c_a ^ c_b over data words a, b that
+    differ in bit j, fewest positions first."""
+    jbit = 1 << (encoder.k - j)
+    ones = [c for a, c in enumerate(encoder.codewords) if a & jbit]
+    zeros = [c for a, c in enumerate(encoder.codewords) if not a & jbit]
+    edges: list[int] = []
+    for d in sorted({c ^ z for c in ones for z in zeros}, key=int.bit_count):
+        if not any(e & d == e for e in edges):
+            edges.append(d)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -539,6 +585,10 @@ def verify_pir(
     """
     if t < 1:
         raise UsageError("t must be >= 1")
+    if mu < 1:
+        raise UsageError("multiplicity cap must be >= 1")
+    if w is not None and w < 1:
+        raise UsageError("max_width must be >= 1")
     budget = ensure_budget(budget)
     start = time.monotonic()
     head = ("pir", t, w, mu)

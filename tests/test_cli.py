@@ -203,6 +203,19 @@ class TestExitCodes:
         code, _, _ = run_cli("verify", "pir", "--t", "3", capsys=capsys)
         assert code == 2
 
+    def test_zero_multiplicity_with_witnesses_is_2(self, tmp_path, capsys):
+        cfile = str(tmp_path / "c.json")
+        run_cli("construct", "pir3", "--k", "3", "--out", cfile, capsys=capsys)
+        gfile = str(tmp_path / "g.txt")
+        with open(cfile) as fh:
+            doc = json.load(fh)
+        with open(gfile, "w") as fh:
+            fh.write("\n".join(doc["generator"]) + "\n")
+        code, out, err = run_cli("verify", "pir", "--t", "3", "--mu", "0",
+                                 "--generator", gfile, "--witnesses", cfile,
+                                 capsys=capsys)
+        assert code == 2 and out == "" and "multiplicity" in err
+
     def test_malformed_file_is_3(self, tmp_path, capsys):
         path = str(tmp_path / "bad.txt")
         with open(path, "w") as fh:

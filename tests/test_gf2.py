@@ -190,6 +190,22 @@ class TestSolveUnit:
                 for x in list(sol.all_solutions())[:16]:
                     assert g.column_combination(x) == e_j
 
+    def test_kernel_is_in_systematic_form(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            k = rng.randint(1, 5)
+            n = rng.randint(1, 9)
+            g = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(k)))
+            sol = solve_unit(g, rng.randint(1, k))
+            assert sol.pivots.bit_count() == g.rank()
+            if not sol.solvable:
+                continue
+            assert sol.solution & ~sol.pivots == 0
+            free = [z & ~sol.pivots for z in sol.kernel]
+            # one free column per kernel vector, each free column once
+            assert all(f.bit_count() == 1 for f in free)
+            assert sum(free) == ((1 << n) - 1) & ~sol.pivots
+
     def test_zero_column_never_in_minimal_support(self):
         # column 3 is zero: it only ever enters via the kernel
         g = BitMatrix.from_strings(["10010", "01001"])

@@ -6,7 +6,10 @@ XOR basis (`BitMatrix.rank`, `recovery._linear_recovers`), and
 `find_disjoint_family` is `serve_query` on the constant query.  Each is held
 here to the code it replaced, kept only in these tests: Gauss-Jordan rank,
 the inline Gray walks, the sorted-basis `min` reduction, the row-parity
-syndrome loop and the dedicated disjoint-family backtracker.
+syndrome loop and the dedicated disjoint-family backtracker.  The two
+minimal-recovery-set enumerators are held to the ones they replaced (in
+`brute_force`): the per-node coset walk with a full basis reduction, and the
+superset-scan subset enumerator with restriction tables.
 """
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pircodes.budget import Budget, ensure_budget
 from pircodes.errors import UsageError
-from pircodes.gf2 import BitMatrix, LinearCode, min_distance, solve_unit
+from pircodes.gf2 import BitMatrix, LinearCode, mask_to_positions, min_distance, solve_unit
 from pircodes.hamming import build_hamming
 from pircodes.recovery import (
     ExplicitEncoder,
@@ -25,8 +28,10 @@ from pircodes.recovery import (
     as_explicit,
     check_family,
     find_disjoint_family,
+    minimal_recovery_sets,
 )
-from test_minimal_sets import full_rank_generators
+from brute_force import reference_explicit_minimal_masks, reference_linear_minimal_masks
+from test_minimal_sets import full_rank_generators, reference_minimal_sets
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 K2 = BitMatrix.from_strings(["10110", "01101"])
@@ -231,3 +236,85 @@ def test_check_family_reports_the_failing_position_or_set(k2_encoder):
         check_family(k2_encoder, RecoveryFamily(1, (frozenset({4}), frozenset({5}))))
     check_family(k2_encoder, RecoveryFamily(1, (frozenset({1}), frozenset({4}),
                                                 frozenset({3, 5}))))
+
+
+# ---------------------------------------------------------------------------
+# Minimal recovery sets against the enumerators they replaced
+# ---------------------------------------------------------------------------
+
+
+def _against_reference(reference, encoder, j, w, limit, used):
+    """Run `minimal_recovery_sets` and `reference` on equal budgets that
+    arrive with `used` nodes spent; return both sides' (sets, nodes,
+    complete, budget.used, budget.exhausted)."""
+    sides = []
+    for run in ("new", "reference"):
+        budget = Budget(limit, used)
+        if run == "new":
+            res = minimal_recovery_sets(encoder, j, w, budget)
+            sets, complete, nodes = res.sets, res.complete, res.nodes
+        else:
+            masks, complete = reference(encoder, j, encoder.n if w is None else w, budget)
+            sets = tuple(frozenset(mask_to_positions(encoder.n, m)) for m in masks)
+            nodes = budget.used - used
+        sides.append((sets, nodes, complete, budget.used, budget.exhausted))
+    return sides
+
+
+@st.composite
+def explicit_tables(draw, max_k=4, max_n=8):
+    """Random one-to-one tables, sized like the `verify` benchmark corpus."""
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(k, max_n))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << k,
+                          max_size=1 << k, unique=True))
+    return ExplicitEncoder(k, n, tuple(words))
+
+
+@SETTINGS
+@given(explicit_tables())
+@example(ExplicitEncoder(2, 3, (0b000, 0b011, 0b101, 0b110)))  # (3,4,2) even-weight
+@example(ExplicitEncoder(1, 1, (1, 0)))
+def test_explicit_matches_brute_force_at_every_width(encoder):
+    for j in range(1, encoder.k + 1):
+        reference = reference_minimal_sets(encoder, j)
+        for w in [*range(1, encoder.n + 1), None]:
+            res = minimal_recovery_sets(encoder, j, w)
+            got = [tuple(sorted(s)) for s in res.sets]
+            assert res.complete and got == [s for s in reference
+                                            if w is None or len(s) <= w], (j, w)
+
+
+@SETTINGS
+@given(explicit_tables(), st.data())
+def test_explicit_budget_cut_matches_superset_scan(encoder, data):
+    j = data.draw(st.integers(1, encoder.k))
+    w = data.draw(st.sampled_from([None, *range(1, encoder.n + 1)]))
+    full = _against_reference(reference_explicit_minimal_masks, encoder, j, w, None, 0)
+    assert full[0] == full[1]
+    used = data.draw(st.integers(0, 3))
+    room = data.draw(st.integers(-2, full[1][1] + 1))  # below 0: arrives overspent
+    limit = max(0, used + room)
+    new, ref = _against_reference(reference_explicit_minimal_masks, encoder, j, w,
+                                  limit, used)
+    assert new == ref, (limit, used)
+
+
+@SETTINGS
+@given(full_rank_generators(max_k=5, max_n=11))
+@example(K2)
+@example(HAMMING3)
+@example(BitMatrix.from_strings(["1000", "0100"]))  # zero columns
+def test_linear_budget_contract_matches_per_node_walk(g):
+    encoder = LinearEncoder(g)
+    coset = 1 << (g.cols - g.nrows)
+    limits = [None, 0, 1, coset - 1, coset, coset + 1]
+    for j in range(1, encoder.k + 1):
+        for w in (None, 1, 2):
+            for limit in limits:
+                # fresh, arriving partly used, arriving overspent
+                for used in {0, 1 if limit is None else limit // 2,
+                             3 if limit is None else limit + 2}:
+                    new, ref = _against_reference(reference_linear_minimal_masks,
+                                                  encoder, j, w, limit, used)
+                    assert new == ref, (j, w, limit, used)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pircodes.budget import Budget
+from pircodes.constructions import build_pir3
 from pircodes.errors import FileFormatError, UsageError
 from pircodes.gf2 import BitMatrix
 from pircodes.recovery import (
@@ -227,6 +228,13 @@ class TestVerifyPir:
         for wit in rep.witnesses:
             for s in wit["sets"]:
                 assert all(1 <= p <= k2_encoder.n for p in s)
+
+    @pytest.mark.parametrize("bad", [{"mu": 0}, {"w": 0}, {"mu": -1, "w": 2}])
+    def test_invalid_width_or_multiplicity_rejected_on_both_paths(self, bad):
+        code = build_pir3(3)
+        for witnesses in (None, code.witness_map()):
+            with pytest.raises(UsageError, match="must be >= 1"):
+                verify_pir(code.encoder, 3, witnesses=witnesses, **bad)
 
 
 class TestVerifyBatch:
