@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Mapping, Sequence
 
 from .budget import Budget, ensure_budget
@@ -315,28 +315,17 @@ def _linear_minimal_masks(
     budget.spend(room)
     if room < size:
         budget.spend()  # refused, so the budget reads exhausted: the walk is cut
-    steps = (*kernel, 0)  # m = 0 reads steps[-1], so the walk starts at the solution
     minimal: list[int] = []
-    x = sol.solution
-    for m in range(room):
-        x ^= steps[(m & -m).bit_length() - 1]
+    for x in islice(sol.all_solutions(), room):
         if x.bit_count() > width:
             continue
-        basis: dict[int, int] = {}  # reduced vectors by leading bit
+        basis: dict[int, int] = {}
         outside = ~x
         rest = x & ~pivots
         while rest:
             low = rest & -rest
             rest ^= low
-            v = pivot_part[low.bit_length() - 1] & outside
-            while v:
-                lead = v.bit_length()
-                b = basis.get(lead)
-                if b is None:
-                    basis[lead] = v
-                    break
-                v ^= b
-            else:
+            if not xor_basis_add(basis, pivot_part[low.bit_length() - 1] & outside):
                 break  # a kernel vector lies inside x: the support is not minimal
         else:
             minimal.append(x)
@@ -377,7 +366,11 @@ def _explicit_minimal_masks(
 
 def _separating_supports(encoder: ExplicitEncoder, j: int) -> list[int]:
     """Inclusion-minimal supports of c_a ^ c_b over data words a, b that
-    differ in bit j, fewest positions first."""
+    differ in bit j, fewest positions first.
+
+    All 4^(k-1) pairs are XORed whatever the width, so at widths 1 and 2 on
+    tables with k >= 8 it costs more than testing each subset's restriction
+    table would."""
     jbit = 1 << (encoder.k - j)
     ones = [c for a, c in enumerate(encoder.codewords) if a & jbit]
     zeros = [c for a, c in enumerate(encoder.codewords) if not a & jbit]

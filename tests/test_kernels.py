@@ -2,7 +2,8 @@
 
 `gf2.gray_span` is the one span walk (`LinearCode.span`, linear
 `min_distance`, `UnitSolution.all_solutions`), `gf2.xor_basis_add` the one
-XOR basis (`BitMatrix.rank`, `recovery._linear_recovers`), and
+XOR basis (`BitMatrix.rank`, `recovery._linear_recovers`, the independence
+test of `recovery._linear_minimal_masks`), and
 `find_disjoint_family` is `serve_query` on the constant query.  Each is held
 here to the code it replaced, kept only in these tests: Gauss-Jordan rank,
 the inline Gray walks, the sorted-basis `min` reduction, the row-parity
