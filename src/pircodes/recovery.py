@@ -364,20 +364,27 @@ def _explicit_minimal_masks(
     return found, True
 
 
-def _separating_supports(encoder: ExplicitEncoder, j: int) -> list[int]:
+def _separating_supports(encoder: ExplicitEncoder, j: int) -> tuple[int, ...]:
     """Inclusion-minimal supports of c_a ^ c_b over data words a, b that
-    differ in bit j, fewest positions first.
+    differ in bit j, fewest positions first; built once per encoder and bit.
 
     All 4^(k-1) pairs are XORed whatever the width, so at widths 1 and 2 on
     tables with k >= 8 it costs more than testing each subset's restriction
     table would."""
-    jbit = 1 << (encoder.k - j)
-    ones = [c for a, c in enumerate(encoder.codewords) if a & jbit]
-    zeros = [c for a, c in enumerate(encoder.codewords) if not a & jbit]
-    edges: list[int] = []
-    for d in sorted({c ^ z for c in ones for z in zeros}, key=int.bit_count):
-        if not any(e & d == e for e in edges):
-            edges.append(d)
+    cache = getattr(encoder, "_supports_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(encoder, "_supports_cache", cache)
+    edges = cache.get(j)
+    if edges is None:
+        jbit = 1 << (encoder.k - j)
+        ones = [c for a, c in enumerate(encoder.codewords) if a & jbit]
+        zeros = [c for a, c in enumerate(encoder.codewords) if not a & jbit]
+        kept: list[int] = []
+        for d in sorted({c ^ z for c in ones for z in zeros}, key=int.bit_count):
+            if not any(e & d == e for e in kept):
+                kept.append(d)
+        edges = cache[j] = tuple(kept)
     return edges
 
 

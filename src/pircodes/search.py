@@ -4,21 +4,23 @@
 Canonical form.  A code is compared to its re-columned images through the
 sorted sequence of codewords (whole words, lexicographic on the sequence);
 the canonical form is the minimum over all column permutations.  The
-minimum is computed by a depth-first search over column choices with two
-sound bounds: a branch whose best possible completion (prefixes padded
-with zeros) already compares >= the incumbent is cut, and a branch whose
-worst possible completion (prefixes padded with ones) beats the incumbent
-certifies a smaller form.  Restricting the search to columns grouped by
-invariant labels would be faster but is not sound for this objective, so
-refinement is used only to order branches.
-
-Equal columns are a different case: swapping two columns that are equal as
-m-bit vectors is an automorphism of the code.  Choosing either one extends
-the prefixes to the same words and leaves the same multiset of columns, so
-the second subtree repeats the first and cannot reach a form strictly below
-what the first left as the incumbent.  A node therefore branches once per
-distinct column vector among its remaining columns; `canonical_form` and
-`is_canonical` return exactly what branching on every column returns.
+minimum is found by a depth-first search over word orders.  For a fixed
+order of the words, sorting the columns ascending by their bits read in
+that order minimises the first word, then the second, and so on; that
+sequence is the least arrangement of the image, so the form is its minimum
+over word orders.  A node keeps the columns as an ordered list of cells,
+columns that agree on the words placed so far.  The value of a word there
+is, cell by cell, the cell's zeros in it followed by its ones: exactly the
+word it becomes if it is placed next.  A node places only words of least
+value and splits each cell into zeros and then ones.  Values only grow as
+cells split and placed words are distinct, so the remaining values, sorted
+and made strictly increasing, bound every completion from below: a node
+whose bound compares >= the incumbent is cut, and a least value below the
+incumbent certifies a smaller form.  Once the cells are single columns, or
+one word is left, every value is final and the node is a leaf.  Two
+leaves with equal sequences differ by an automorphism that fixes the words
+placed before their first difference; it maps the subtree searched there
+onto the current one, so the search returns to that level.
 
 Orderly generation.  Codes containing the zero word are grown one word at
 a time in ascending order; a partial code is kept only if it equals its
@@ -56,7 +58,7 @@ from typing import Callable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import CheckpointError, UsageError
-from .gf2 import Code, mask_to_positions
+from .gf2 import Code, mask_to_positions, xor_basis_add
 from .recovery import ExplicitEncoder, verify_pir
 
 __all__ = [
@@ -103,88 +105,136 @@ def permute_code(code: Code, perm: Sequence[int]) -> Code:
     return Code.from_values(n, out)
 
 
-def _column_bits(values: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    return [
-        tuple((v >> (n - 1 - j)) & 1 for v in values) for j in range(n)
-    ]
+def _min_form_search(values: Sequence[int], n: int, stop_below: bool):
+    """Core DFS over word orders; returns (smaller_found, best_form).
 
-
-def _min_form_search(values: tuple[int, ...], n: int, stop_below: bool):
-    """Core DFS; returns (smaller_found, best_form).
-
-    Prefixes are tracked per word (original index order) so columns extend
-    them correctly; bounds compare their sorted padding against the
-    incumbent.  With stop_below the search exits at the first form strictly
-    below the identity form (used by is_canonical); otherwise it runs to
-    the global minimum (used by canonical_form).
+    `values` is ascending and is the first incumbent.  A node holds the
+    columns as an ordered list of cells (column masks, columns equal on the
+    words placed so far) and places next one of the words of least value,
+    then splits every cell into its zeros and its ones in that word.  With
+    stop_below the search exits at the first form strictly below `values`
+    (used by is_canonical); otherwise it runs to the global minimum (used by
+    canonical_form).
     """
     m = len(values)
-    cols = _column_bits(values, n)
     best = list(values)
+    best_rows: list[int] | None = None  # word order of a leaf equal to best
+    path: list[int] = []  # the placed words
+    prefix: list[int] = []  # their values
     found_smaller = False
+    back = m  # the level an automorphism returns to; m when there is none
 
-    def rec(remaining: tuple[int, ...], pref: list[int], d: int) -> bool:
-        nonlocal found_smaller, best
-        branches = []
-        seen = set()
-        for c in remaining:
-            col = cols[c]
-            if col in seen:  # an equal column: the same subtree again
-                continue
-            seen.add(col)
-            new = [(pref[i] << 1) | col[i] for i in range(m)]
-            branches.append((sorted(new), new, c))
-        branches.sort(key=lambda b: b[0])
-        d1 = d + 1
-        shift = n - d1
-        for srt, new, c in branches:
-            # Zero-padded completions vs incumbent: >= means nothing in this
-            # branch can be strictly smaller.
-            cmp_lo = 0
-            for i in range(m):
-                lo = srt[i] << shift
-                if lo != best[i]:
-                    cmp_lo = -1 if lo < best[i] else 1
-                    break
-            if cmp_lo >= 0:
-                continue
-            if d1 == n:
-                best = list(srt)
+    def rec(cells: list[tuple[int, int]], rows: list[int], k: int, tight: bool) -> bool:
+        # tight: the placed words equal best[:k], so best bounds this subtree.
+        nonlocal best, best_rows, found_smaller, back
+        vals = []
+        for r in rows:
+            v = 0
+            for c, size in cells:
+                v = (v << size) | ((1 << (r & c).bit_count()) - 1)
+            vals.append(v)
+        if len(cells) == n or k + 1 == m:
+            # Single columns or a single word: every value is final, and the
+            # rest of the leaf is the remaining words by value.
+            order = sorted(zip(vals, rows))
+            tail = [v for v, _ in order]
+            if tight:
+                rest = best[k:]
+                if tail > rest:
+                    return False
+                if tail == rest:
+                    leaf = path + [r for _, r in order]
+                    if best_rows is None:
+                        best_rows = leaf
+                        return False
+                    # The column permutation taking one leaf to the other is
+                    # an automorphism fixing the words placed before their
+                    # first difference; it maps the subtree searched there
+                    # onto this one, so the search returns to that level.
+                    back = 0
+                    while best_rows[back] == leaf[back]:
+                        back += 1
+                    return False
+            found_smaller = True
+            if stop_below:
+                return True
+            best = prefix + tail
+            best_rows = path + [r for _, r in order]
+            return False
+        least = min(vals)
+        if tight:
+            b = best[k]
+            if least > b:
+                return False
+            if least < b:
                 found_smaller = True
                 if stop_below:
                     return True
-                continue
-            if stop_below:
-                # One-padded completions all below: a smaller form certainly
-                # exists, no need to identify it.
-                ones = (1 << shift) - 1
-                below = False
-                for i in range(m):
-                    hi = (srt[i] << shift) | ones
-                    if hi != best[i]:
-                        below = hi < best[i]
+                tight = False
+            else:
+                # A word's value only grows as cells split, and the placed
+                # words are distinct, so the sorted values made strictly
+                # increasing bound the rest of every completion from below.
+                low = least
+                for i, v in enumerate(sorted(vals)[1:], start=k + 1):
+                    low = v if v > low else low + 1
+                    if low != best[i]:
+                        if low > best[i]:
+                            return False
                         break
-                if below:
-                    found_smaller = True
-                    return True
-            if rec(tuple(x for x in remaining if x != c), new, d1):
+                else:
+                    return False
+        prefix.append(least)
+        for r, v in zip(rows, vals):
+            if v != least:
+                continue
+            split = []
+            for c, size in cells:
+                ones = c & r
+                if ones and ones != c:
+                    n_ones = ones.bit_count()
+                    split.append((c ^ ones, size - n_ones))
+                    split.append((ones, n_ones))
+                else:
+                    split.append((c, size))
+            path.append(r)
+            if rec(split, [x for x in rows if x != r], k + 1, tight):
                 return True
+            path.pop()
+            if back < k:
+                break
+            back = m
+            # The first subtree of a node below the incumbent ends at a leaf
+            # that becomes the incumbent, so the node is tight from here on.
+            tight = True
+        prefix.pop()
         return False
 
-    rec(tuple(range(n)), [0] * m, 0)
+    cells = [((1 << n) - 1, n)]
+    if values and values[0] == 0:
+        # The zero word alone has value 0 and splits no cell: it goes first.
+        path.append(0)
+        prefix.append(0)
+        if m > 1:
+            rec(cells, list(values[1:]), 1, True)
+    elif values:
+        rec(cells, list(values), 0, True)
     return found_smaller, tuple(best)
 
 
 def canonical_form(code: Code) -> Code:
     """Minimum over all column permutations of the sorted word sequence."""
-    _, best = _min_form_search(tuple(code.values), code.n, stop_below=False)
+    _, best = _min_form_search(code.values, code.n, stop_below=False)
     return Code(code.n, best)
 
 
 def is_canonical(code: Code) -> bool:
     """Is the code equal to its own canonical form?"""
-    values = tuple(code.values)
-    n = code.n
+    return _is_canonical_values(code.values, code.n)
+
+
+def _is_canonical_values(values: Sequence[int], n: int) -> bool:
+    """is_canonical on an ascending sequence of distinct n-bit words."""
     if values and values[0] == 0 and len(values) > 1:
         # The second word of a canonical zero-containing code is forced.
         w = min(v.bit_count() for v in values[1:])
@@ -404,7 +454,9 @@ def encoder_exists_3pir(
     by the split it induces, then backtracks for k of them whose joint refinement
     separates all codewords.  Any valid choice must halve every refinement
     class at every step, which is checked eagerly.  "none" is only reported
-    after complete enumeration and exhaustive backtracking.
+    after complete enumeration, and then either exhaustive backtracking or,
+    with no backtracking node and `best_depth` 0, a candidate set of GF(2)
+    rank below k: an encoder's k functions are linearly independent.
     """
     k = code.dimension()
     if k is None or k < 1:
@@ -431,6 +483,19 @@ def encoder_exists_3pir(
         complete = False
 
     masks = list(candidates.keys())
+    if complete:
+        # The k functions of an encoder are linearly independent as vectors
+        # over the codewords: a nonempty sum of them that vanished on the
+        # code would confine every codeword's data word to a hyperplane.
+        basis: dict[int, int] = {}
+        rank = 0
+        for mask in masks:
+            rank += xor_basis_add(basis, mask)
+            if rank == k:
+                break
+        else:
+            return ExistsResult(NONE, None, None, triples_seen, len(masks), 0,
+                                budget.used - used0)
     chosen: list[int] = []
     best_depth = 0
     cut = False
@@ -704,7 +769,7 @@ def _orderly_generation(
     def extend(current: list[int], cands: list[int]) -> Iterator[Code]:
         nonlocal aborted
         if len(current) == size:
-            yield Code.from_values(n, current)
+            yield Code(n, tuple(current))
             return
         if len(current) + len(cands) < size:
             return
@@ -716,7 +781,7 @@ def _orderly_generation(
                 return
             stats.nodes += 1
             current.append(w)
-            if is_canonical(Code.from_values(n, current)):
+            if _is_canonical_values(current, n):
                 nxt = [u for u in cands[i + 1:]
                        if (u ^ w).bit_count() >= dmin]
                 yield from extend(current, nxt)

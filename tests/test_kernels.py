@@ -10,7 +10,9 @@ the inline Gray walks, the sorted-basis `min` reduction, the row-parity
 syndrome loop and the dedicated disjoint-family backtracker.  The two
 minimal-recovery-set enumerators are held to the ones they replaced (in
 `brute_force`): the per-node coset walk with a full basis reduction, and the
-superset-scan subset enumerator with restriction tables.
+superset-scan subset enumerator with restriction tables.  The separating
+supports of the explicit path are built once per encoder and bit; the
+cached ones match a fresh build.
 """
 
 import pytest
@@ -26,10 +28,12 @@ from pircodes.recovery import (
     RecoveryFamily,
     _linear_recovers,
     _minimal_masks,
+    _separating_supports,
     as_explicit,
     check_family,
     find_disjoint_family,
     minimal_recovery_sets,
+    verify_pir,
 )
 from brute_force import reference_explicit_minimal_masks, reference_linear_minimal_masks
 from test_minimal_sets import full_rank_generators, reference_minimal_sets
@@ -299,6 +303,22 @@ def test_explicit_budget_cut_matches_superset_scan(encoder, data):
     new, ref = _against_reference(reference_explicit_minimal_masks, encoder, j, w,
                                   limit, used)
     assert new == ref, (limit, used)
+
+
+@SETTINGS
+@given(explicit_tables(), st.sampled_from([None, 1, 2]))
+def test_separating_supports_cached_per_encoder_and_bit(encoder, w):
+    def fresh():
+        return ExplicitEncoder(encoder.k, encoder.n, encoder.codewords)
+
+    for j in range(1, encoder.k + 1):
+        supports = _separating_supports(encoder, j)
+        assert _separating_supports(encoder, j) is supports
+        assert supports == _separating_supports(fresh(), j)
+    for t in (1, 2, 3):
+        cached, built = verify_pir(encoder, t, w), verify_pir(fresh(), t, w)
+        assert (cached.verdict, cached.complete, cached.nodes, cached.witnesses) == (
+            built.verdict, built.complete, built.nodes, built.witnesses)
 
 
 @SETTINGS

@@ -10,6 +10,7 @@ from pircodes.budget import Budget
 from pircodes.errors import CheckpointError, UsageError
 from pircodes.gf2 import Code, LinearCode, min_distance
 from pircodes.constructions import build_pir3
+from pircodes.hamming import build_hamming
 from pircodes.recovery import verify_pir
 from pircodes.search import (
     SearchStats,
@@ -22,7 +23,7 @@ from pircodes.search import (
     search_codes,
 )
 
-from brute_force import brute_force_encoder_search
+from brute_force import brute_force_encoder_search, reference_encoder_status
 
 
 def reference_greedy_swap(n: int, size: int, dmin: int, rng: random.Random) -> list[int]:
@@ -157,6 +158,39 @@ class TestEncoderExists:
         res = encoder_exists_3pir(hamming3_code)
         assert res.status == "none"
         assert res.best_depth < 4
+
+    def test_rank_certificate_decides_hamming_without_backtracking(self, hamming3_code):
+        # 7 candidates of rank 3 < k = 4: one node per partition, none more.
+        res = encoder_exists_3pir(hamming3_code)
+        assert (res.status, res.candidates, res.best_depth) == ("none", 7, 0)
+        assert res.nodes == res.triples_seen == 301
+
+    def test_rank_certificate_decides_shortened_hamming_11(self):
+        # The shortened order-4 Hamming (11,128,3) code: 25 candidates of rank
+        # 5 < k = 7.  Backtracking needed 129,296 nodes to reach "none".
+        code = Code.from_values(11, [v >> 4 for v in build_hamming(4).code().values
+                                     if v & 0xF == 0])
+        res = encoder_exists_3pir(code, budget=50_000)
+        assert (res.status, res.candidates) == ("none", 25)
+        assert res.nodes == res.triples_seen == 28_501
+
+    def test_rank_certificate_matches_plain_search(self):
+        # Every 4-word code with n <= 4; at n = 5 one code per class under
+        # translations and column permutations, which keep the status; and
+        # the census classes (not the 251 of (8,4,3), for time).
+        codes = [Code(n, vals) for n in (2, 3, 4)
+                 for vals in itertools.combinations(range(1 << n), 4)]
+        codes += [code for vals in itertools.combinations(range(1, 32), 3)
+                  if is_canonical(code := Code(5, (0,) + vals))]
+        for params in ((7, 4, 3), (6, 8, 3), (7, 16, 3)):
+            codes += search_codes(*params)
+        for code in codes:
+            assert encoder_exists_3pir(code).status == reference_encoder_status(code), code
+
+    def test_rank_certificate_waits_for_a_complete_scan(self, hamming3_code):
+        # A budget cut inside the scan leaves the rank test unused.
+        res = encoder_exists_3pir(hamming3_code, budget=Budget(300))
+        assert res.status == "unknown" and res.nodes == 300
 
     def test_budget_downgrades_to_unknown(self, hamming3_code):
         res = encoder_exists_3pir(hamming3_code, budget=Budget(100))
@@ -314,7 +348,6 @@ class TestSearchCodes:
         for code in out:
             assert min_distance(code) >= 3
 
-    @pytest.mark.stretch
     def test_exhaustive_7_16_3_unique(self):
         out = list(search_codes(7, 16, 3))
         assert len(out) == 1
