@@ -32,6 +32,7 @@ from .designs import (
     exact_packing,
     greedy_packing,
     is_packing,
+    packing_bound,
     packing_number_formula,
 )
 from .constructions import (

@@ -183,23 +183,28 @@ def _cmd_packing_find(args) -> int:
         if args.budget is not None:
             raise UsageError("--budget has no effect with --greedy")
         design = designs.greedy_packing(args.v, args.blocksize)
-        payload = {"status": "found", "blocks": [list(b) for b in design.blocks],
-                   "num_blocks": design.num_blocks}
-        text = designs.dump_packing(design).rstrip()
+        payload = {"status": "found", "certificate": "greedy", "nodes": 0}
     else:
         if args.target is None:
             raise UsageError("provide --target N or --greedy")
         res = designs.exact_packing(args.v, args.blocksize, args.target,
                                     budget=args.budget)
         design = res.design
-        payload = {"status": res.status, "nodes": res.nodes}
+        payload = {"status": res.status, "certificate": res.certificate, "nodes": res.nodes}
+    verdict = f"{payload['status']} by {payload['certificate']} (nodes={payload['nodes']})"
+    if design is not None:
+        payload["blocks"] = [list(b) for b in design.blocks]
+        payload["num_blocks"] = design.num_blocks
+        text = f"# {verdict}\n" + designs.dump_packing(design).rstrip()
+    else:
+        text = f"status: {verdict}"
+    if args.out:
         if design is not None:
-            payload["blocks"] = [list(b) for b in design.blocks]
-            text = designs.dump_packing(design).rstrip()
+            designs.write_packing(design, args.out)
+            payload["out"] = args.out
         else:
-            text = f"status: {res.status} (nodes={res.nodes})"
-    if args.out and design is not None:
-        designs.write_packing(design, args.out)
+            payload["out"] = None
+            text += f"\nno design: {args.out} not written"
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -4,10 +4,14 @@ pair-packing constructors (greedy lower bounds and an exact decision).
 Constructors are specialized to strength 2 with lambda = 1, the only case
 the PIR constructions consume; `is_packing` validates general parameters.
 
-A pair packing is a clique in the graph on all blocks, two blocks adjacent
-when they share at most one point: past a greedy shortcut and a counting
-bound, `exact_packing` runs the `clique` engine on it with {1..blocksize}
-pinned and the blocks in reverse-lexicographic order (see its docstring).
+`exact_packing` decides a target in this order: the lexicographic greedy
+packing, then three counting certificates that prove `impossible` at zero
+nodes (point degrees, block pairs, leave graph; see `_refutation`), then
+a clique search.  A pair packing is a clique in the graph on all blocks,
+two blocks adjacent when they share at most one point; the search runs the
+`clique` engine on it with {1..blocksize} pinned and the blocks in
+reverse-lexicographic order (see `_search_packing`).  `packing_bound` is
+the largest target the certificates allow.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "ExactPackingResult",
     "is_packing",
     "packing_number_formula",
+    "packing_bound",
     "greedy_packing",
     "exact_packing",
     "all_pairs_design",
@@ -38,7 +43,8 @@ IMPOSSIBLE = "impossible"
 UNKNOWN = "unknown"
 
 # Exceptions to the closed-form count, from the published determination of
-# the (r,4,2) packing numbers.
+# the (r,4,2) packing numbers.  `packing_bound` proves those at 8, 9, 10 and
+# 11 (the block-pair bound); only 17 and 19 still rest on the literature.
 _FORMULA_EXCEPTIONS = {9: 1, 10: 1, 17: 1, 8: 2, 11: 2, 19: 2}
 
 
@@ -140,11 +146,72 @@ def all_pairs_design(r: int) -> PackingDesign:
     return greedy_packing(r, 2)
 
 
+def _graphical(degrees: list[int]) -> bool:
+    """Erdős–Gallai: a nonincreasing sequence is the degree sequence of a
+    simple graph iff its sum is even and every prefix of k degrees sums to
+    at most k(k-1) + sum(min(d, k)) over the rest."""
+    if sum(degrees) % 2:
+        return False
+    head = 0
+    for k, d in enumerate(degrees, 1):
+        head += d
+        if head > k * (k - 1) + sum(min(x, k) for x in degrees[k:]):
+            return False
+    return True
+
+
+def _refutation(v: int, s: int, b: int) -> str | None:
+    """The first counting certificate that no pair packing of `b` blocks of
+    size `s` on `v` points exists, or None when all three allow it.
+
+    With r_p blocks through point p, sum r_p = b*s, and:
+
+    - counting: r_p <= R = floor((v-1)/(s-1)), so b*s <= v*R;
+    - block_pairs: two blocks share at most one point, so the pairs of
+      blocks through the points are disjoint and sum C(r_p, 2) <= C(b, 2)
+      (Johnson 1962);
+    - leave_graph: the pairs no block covers form a simple graph in which
+      point p has degree v-1-(s-1)*r_p (Schönheim 1966).
+
+    Each is checked on the balanced r_p (as equal as possible), which
+    suffices.  Balanced r_p minimise sum C(r_p, 2), a convex sum.  Their
+    leave degrees are majorised by the leave degrees of any other r_p with
+    the same sum, and a majorised degree sequence of a graph is again one
+    (move one edge end at a time from a larger to a smaller degree), so no
+    leave is graphical if the balanced one is not.
+    """
+    big_r = (v - 1) // (s - 1)
+    if b * s > v * big_r:
+        return "counting"
+    q, rem = divmod(b * s, v)
+    if rem * (q + 1) * q // 2 + (v - rem) * q * (q - 1) // 2 > b * (b - 1) // 2:
+        return "block_pairs"
+    degree = v - 1 - (s - 1) * q  # of a point in q blocks; rem points are in q + 1
+    if not _graphical([degree] * (v - rem) + [degree - (s - 1)] * rem):
+        return "leave_graph"
+    return None
+
+
+def packing_bound(v: int, blocksize: int) -> int:
+    """Largest number of blocks that no counting certificate of
+    `exact_packing` refutes: an upper bound on the pair-packing number.
+
+    For blocksize 3 it equals Spencer's D(v,3,2), and for blocksize 4
+    `packing_number_formula(v)` except at v = 17 and 19 (checked for
+    v <= 30).
+    """
+    if not 2 <= blocksize <= v:
+        raise UsageError("need 2 <= blocksize <= v")
+    top = v * ((v - 1) // (blocksize - 1)) // blocksize
+    return next(b for b in range(top, 0, -1) if _refutation(v, blocksize, b) is None)
+
+
 @dataclass(frozen=True)
 class ExactPackingResult:
     status: str  # found | impossible | unknown
     design: PackingDesign | None
     nodes: int
+    certificate: str  # greedy | counting | block_pairs | leave_graph | search
 
 
 def exact_packing(
@@ -155,24 +222,17 @@ def exact_packing(
 ) -> ExactPackingResult:
     """Decide whether a pair-packing with `target` blocks exists.
 
-    The lexicographic greedy packing answers first when it is big enough.
-    A counting bound then settles some instances at zero nodes: a point
-    lies in at most floor((v-1)/(blocksize-1)) blocks, so a packing has at
-    most floor(v * floor((v-1)/(blocksize-1)) / blocksize) of them.
-
-    Otherwise the clique engine looks for `target` blocks that pairwise
-    share at most one point.  The block {1..blocksize} is pinned (any
-    packing can be relabeled to contain it) and the threshold starts at
-    target - 1, so the colouring bound prunes every branch that cannot
-    reach `target`, and the search stops at the first clique that does.
-    The engine branches first on high indices; with the blocks indexed in
-    reverse-lexicographic order, it grows the design from the pinned block
-    through the lowest points (indexed lexicographically, (14,4,14) takes
-    852,501 nodes instead of 89).
+    The lexicographic greedy packing answers first when it is big enough
+    (certificate "greedy").  Three counting certificates then prove
+    "impossible" at zero nodes, in order (see `_refutation`): the point
+    degree bound b <= floor(v * floor((v-1)/(blocksize-1)) / blocksize)
+    ("counting"), the block-pair bound ("block_pairs") and the leave-graph
+    bound ("leave_graph").  Every other target goes to a clique search
+    ("search", see `_search_packing`), also when it is cut.
 
     A found design lists its blocks in lexicographic order, starting with
-    {1..blocksize}.  "impossible" requires the search to have exhausted all
-    branches within budget; a cut search reports "unknown".
+    {1..blocksize}.  "impossible" requires a certificate or a search that
+    exhausted all branches within budget; a cut search reports "unknown".
     """
     if not 2 <= blocksize <= v:
         raise UsageError("need 2 <= blocksize <= v")
@@ -183,10 +243,23 @@ def exact_packing(
     greedy = greedy_packing(v, blocksize)
     if greedy.num_blocks >= target:
         design = PackingDesign(v, blocksize, 2, 1, greedy.blocks[:target])
-        return ExactPackingResult(FOUND, design, 0)
-    if v * ((v - 1) // (blocksize - 1)) // blocksize < target:
-        return ExactPackingResult(IMPOSSIBLE, None, 0)
+        return ExactPackingResult(FOUND, design, 0, "greedy")
+    refuted = _refutation(v, blocksize, target)
+    if refuted is not None:
+        return ExactPackingResult(IMPOSSIBLE, None, 0, refuted)
+    return _search_packing(v, blocksize, target, budget)
 
+
+def _search_packing(v: int, blocksize: int, target: int, budget: Budget) -> ExactPackingResult:
+    """The clique engine looks for `target` blocks that pairwise share at
+    most one point.  The block {1..blocksize} is pinned (any packing can be
+    relabeled to contain it) and the threshold starts at target - 1, so the
+    colouring bound prunes every branch that cannot reach `target`, and the
+    search stops at the first clique that does.  The engine branches first
+    on high indices; with the blocks indexed in reverse-lexicographic
+    order, it grows the design from the pinned block through the lowest
+    points (indexed lexicographically, (14,4,14) takes 852,501 nodes
+    instead of 89)."""
     cands = list(combinations(range(1, v + 1), blocksize))[::-1]
     containing = [0] * (v * (v - 1) // 2)  # per pair: the blocks holding it
     for idx, block in enumerate(cands):
@@ -206,8 +279,10 @@ def exact_packing(
     search.expand([pinned], adj[pinned])
     if search.best_size >= target:
         blocks = tuple(sorted(cands[i] for i in search.best_clique)[:target])
-        return ExactPackingResult(FOUND, PackingDesign(v, blocksize, 2, 1, blocks), search.nodes)
-    return ExactPackingResult(UNKNOWN if search.aborted else IMPOSSIBLE, None, search.nodes)
+        design = PackingDesign(v, blocksize, 2, 1, blocks)
+        return ExactPackingResult(FOUND, design, search.nodes, "search")
+    status = UNKNOWN if search.aborted else IMPOSSIBLE
+    return ExactPackingResult(status, None, search.nodes, "search")
 
 
 # ---------------------------------------------------------------------------

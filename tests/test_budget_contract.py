@@ -49,7 +49,7 @@ def test_recovery_results_count_their_own_nodes(call, hamming3_encoder):
 
 
 def test_exact_packing_counts_its_own_nodes():
-    fresh, nodes, growth = _own_nodes(lambda b: exact_packing(10, 4, 6, budget=b))
+    fresh, nodes, growth = _own_nodes(lambda b: exact_packing(14, 4, 14, budget=b))
     assert fresh > 0
     assert nodes == growth == fresh
 

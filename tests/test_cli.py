@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from pircodes.cli import main
+from pircodes.designs import parse_packing
 
 
 def run_cli(*argv, capsys=None):
@@ -110,6 +111,32 @@ class TestSmallCommands:
         assert code == 0
         assert json.loads(out)["status"] == "impossible"
 
+    def test_packing_find_names_its_certificate(self, capsys):
+        cases = {("11", "4", "7"): ("impossible", "block_pairs", 0),
+                 ("11", "3", "18"): ("impossible", "leave_graph", 0),
+                 ("14", "4", "14"): ("found", "search", 89)}
+        for (v, b, target), want in cases.items():
+            argv = ("packing", "find", "--v", v, "--blocksize", b, "--target", target)
+            code, out, _ = run_cli("--format", "json", *argv, capsys=capsys)
+            doc = json.loads(out)
+            assert (code, doc["status"], doc["certificate"], doc["nodes"]) == (0, *want)
+            code, out, _ = run_cli(*argv, capsys=capsys)
+            status, certificate, nodes = want
+            verdict = f"{status} by {certificate} (nodes={nodes})"
+            assert code == 0 and verdict in out.splitlines()[0]
+        assert parse_packing(out).num_blocks == 14  # the verdict line is a comment
+
+    def test_packing_find_out_without_design_says_so(self, tmp_path, capsys):
+        out_file = tmp_path / "p.txt"
+        argv = ("packing", "find", "--v", "11", "--blocksize", "4", "--target", "7",
+                "--out", str(out_file))
+        code, out, _ = run_cli("--format", "json", *argv, capsys=capsys)
+        doc = json.loads(out)
+        assert (code, doc["status"], doc["out"]) == (0, "impossible", None)
+        code, out, _ = run_cli(*argv, capsys=capsys)
+        assert code == 0 and f"{out_file} not written" in out
+        assert not out_file.exists()
+
     def test_packing_find_greedy_writes_file(self, tmp_path, capsys):
         out_file = str(tmp_path / "p.txt")
         code, out, _ = run_cli("--format", "json", "packing", "find", "--v", "7",
@@ -117,6 +144,7 @@ class TestSmallCommands:
                                capsys=capsys)
         assert code == 0
         assert json.loads(out)["blocks"] == [[1, 2, 3, 4], [1, 5, 6, 7]]
+        assert json.loads(out)["out"] == out_file
         from pircodes.designs import read_packing
 
         assert read_packing(out_file).blocks == ((1, 2, 3, 4), (1, 5, 6, 7))

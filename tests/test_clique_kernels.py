@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from pircodes.budget import Budget
 from pircodes.bounds import _CliqueGraph, max_code_size
 from pircodes.clique import CliqueSearch
-from pircodes.designs import exact_packing, packing_number_formula
+from pircodes.designs import _search_packing, exact_packing, packing_number_formula
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -221,9 +221,12 @@ PACKINGS = {
     **{(r, 4, packing_number_formula(r)): ("found", 0) for r in (4, 5, 6, 7, 8, 9, 11, 12, 13)},
     (10, 4, 5): ("found", 4), (14, 4, 14): ("found", 89), (12, 3, 19): ("found", 18),
     **{(r, 4, packing_number_formula(r) + 1): ("impossible", 0) for r in range(4, 9)},
-    (9, 4, 4): ("impossible", 20), (10, 4, 6): ("impossible", 50),
-    (11, 4, 7): ("impossible", 6310), (13, 5, 4): ("impossible", 315),
+    **{inst: ("impossible", 0) for inst in ((9, 4, 4), (10, 4, 6), (11, 4, 7), (13, 5, 4))},
 }
+
+# The same four impossible instances, proved by the clique search alone
+# (the block-pair bound settles them ahead of it in exact_packing).
+SEARCH_ALONE = {(9, 4, 4): 20, (10, 4, 6): 50, (11, 4, 7): 6310, (13, 5, 4): 315}
 
 DESIGNS = {
     (10, 4, 5): ((1, 2, 3, 4), (1, 5, 9, 10), (2, 7, 8, 10), (3, 6, 8, 9), (4, 5, 6, 7)),
@@ -275,3 +278,9 @@ def test_packing_workload_nodes_and_designs_pinned():
         assert (res.status, res.nodes) == (status, nodes), (v, b, target)
         if (v, b, target) in DESIGNS:
             assert res.design.blocks == DESIGNS[v, b, target], (v, b, target)
+
+
+def test_search_alone_proves_impossible_instances():
+    for (v, b, target), nodes in SEARCH_ALONE.items():
+        res = _search_packing(v, b, target, Budget())
+        assert (res.status, res.nodes, res.certificate) == ("impossible", nodes, "search")

@@ -56,9 +56,12 @@ def test_searched_designs_meet_contract(v, b, target):
 
 
 def test_cut_search_of_impossible_instance_is_unknown():
-    # (11,4,7) is impossible, but only a complete search may say so
-    assert exact_packing(11, 4, 7).status == "impossible"
-    assert exact_packing(11, 4, 7, budget=Budget(100)).status == "unknown"
+    # (17,4,21) is impossible, but no certificate refutes it: only a
+    # complete search may say so, and 100 nodes are not one
+    assert exact_packing(17, 4, 21, budget=Budget(100)).status == "unknown"
+    # a certificate needs no nodes, so a budget cannot cut it
+    res = exact_packing(11, 4, 7, budget=Budget(100))
+    assert (res.status, res.nodes) == ("impossible", 0)
 
 
 def test_auto_packing_fewest_points_under_budget():
