@@ -90,7 +90,8 @@ def _witness_text(report: recovery.VerifyReport) -> str:
     for wit in report.witnesses:
         key = f"bit {wit['bit']}" if "bit" in wit else f"query {wit['query']}"
         lines.append(f"  {key}: " + " ".join(str(s) for s in wit["sets"]))
-    lines.append(f"nodes={report.nodes} elapsed={report.elapsed:.3f}s")
+    lines.append(f"nodes={report.nodes} set_nodes={report.set_nodes} "
+                 f"backtrack_nodes={report.backtrack_nodes} elapsed={report.elapsed:.3f}s")
     return "\n".join(lines)
 
 

@@ -19,6 +19,7 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, islice
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .budget import Budget, ensure_budget
@@ -287,19 +288,38 @@ def _minimal_masks(
     encoder: Encoder, j: int, max_width: int | None, budget: Budget
 ) -> tuple[list[int], bool]:
     """`minimal_recovery_sets` as position masks, plus the completeness flag."""
-    _check_indices(encoder, j, [1])
-    if max_width is None:
-        max_width = encoder.n
-    if max_width < 1:
-        raise UsageError("max_width must be >= 1")
+    max_width = _checked_width(encoder, j, max_width)
     if isinstance(encoder, LinearEncoder):
         return _linear_minimal_masks(encoder, j, max_width, budget)
     return _explicit_minimal_masks(encoder, j, max_width, budget)
 
 
+def _checked_width(encoder: Encoder, j: int, max_width: int | None) -> int:
+    """The width cap for bit j, `n` when there is none; raise if either is bad."""
+    _check_indices(encoder, j, [1])
+    if max_width is None:
+        return encoder.n
+    if max_width < 1:
+        raise UsageError("max_width must be >= 1")
+    return max_width
+
+
+def _charge(budget: Budget, cost: int) -> int:
+    """Spend up to `cost` nodes in one charge and return how many were spent.
+    A short charge also records a refusal, so the budget reads exhausted, as
+    it would after spending one node at a time until the first refusal."""
+    room = cost if budget.limit is None else min(cost, max(0, budget.limit - budget.used))
+    budget.spend(room)
+    if room < cost:
+        budget.spend()
+    return room
+
+
 def _linear_minimal_masks(
-    encoder: LinearEncoder, j: int, max_width: int, budget: Budget
+    encoder: LinearEncoder, j: int, max_width: int, budget: Budget, above: int = 0
 ) -> tuple[list[int], bool]:
+    """The coset walk, keeping only the minimal sets of more than `above`
+    positions (the walk and its node charge are the same at every `above`)."""
     sol = solve_unit(encoder.generator, j)
     assert sol.solvable  # full row rank keeps every unit vector reachable
     width = min(max_width, encoder.k)  # independent columns number at most k
@@ -311,13 +331,10 @@ def _linear_minimal_masks(
     for z in kernel:
         pivot_part[(z & ~pivots).bit_length() - 1] = z & pivots
     size = 1 << len(kernel)
-    room = size if budget.limit is None else min(size, max(0, budget.limit - budget.used))
-    budget.spend(room)
-    if room < size:
-        budget.spend()  # refused, so the budget reads exhausted: the walk is cut
+    room = _charge(budget, size)
     minimal: list[int] = []
     for x in islice(sol.all_solutions(), room):
-        if x.bit_count() > width:
+        if not above < x.bit_count() <= width:
             continue
         basis: dict[int, int] = {}
         outside = ~x
@@ -426,11 +443,94 @@ def find_disjoint_family(
     return FamilyResult(IMPOSSIBLE if res.status == UNSERVABLE else UNKNOWN, None, res.nodes)
 
 
+class _LazySets:
+    """The minimal recovery sets of bit j, in the (size, positions) order of
+    `minimal_recovery_sets`, built as the backtracker reads them under the
+    node rule of `serve_query`: a linear encoder's one size layer at a time,
+    an explicit encoder's whole list at the first read.
+
+    A linear lookup layer keeps A + {p}, whose columns sum to e_j, when its
+    columns are independent, i.e. when the columns of A and e_j are; each A
+    yields its later positions p in order, so the layer comes out in lex
+    order.  A layer the budget cuts ends the list with `complete` False.
+    """
+
+    def __init__(self, encoder: Encoder, j: int, max_width: int | None) -> None:
+        self.encoder = encoder
+        self.j = j
+        self.masks: list[int] = []
+        self.complete = True  # no layer was cut by the budget
+        self.size = 0  # the sets of at most this many positions are built
+        self.width = min(_checked_width(encoder, j, max_width), encoder.n)
+        if isinstance(encoder, LinearEncoder):
+            self.width = min(self.width, encoder.k)  # independent columns
+            self.lookup_nodes = 0
+            self.columns = [encoder.generator.column(p) for p in range(1, encoder.n + 1)]
+            self.where: dict[int, list[int]] = {}  # column -> its 0-based indices
+            for i, c in enumerate(self.columns):
+                self.where.setdefault(c, []).append(i)
+            self.unit = 1 << (encoder.k - j)
+            # (e_j + the columns of A, last index of A, mask of A) for the
+            # subsets A of the last layer walked (the next one, at first).
+            self.subsets = [(self.unit, -1, 0)]
+
+    def has(self, idx: int, budget: Budget) -> bool:
+        """Is there an idx-th set?  Builds layers until there is one or none
+        is left to build (all built, or a layer was cut)."""
+        while idx >= len(self.masks) and self.complete and self.size < self.width:
+            if isinstance(self.encoder, LinearEncoder):
+                self._grow_linear(budget)
+            else:
+                masks, self.complete = _explicit_minimal_masks(
+                    self.encoder, self.j, self.width, budget)
+                self.masks.extend(masks)
+                self.size = self.width
+        return idx < len(self.masks)
+
+    def _grow_linear(self, budget: Budget) -> None:
+        n, k = self.encoder.n, self.encoder.k
+        cost = comb(n, self.size)  # the subsets A of the next layer
+        if self.lookup_nodes + cost > 1 << (n - k):
+            layer, self.complete = _linear_minimal_masks(
+                self.encoder, self.j, self.width, budget, above=self.size)
+            self.masks.extend(layer)
+            self.size = self.width
+            return
+        columns, where = self.columns, self.where
+        if self.size:
+            self.subsets = [(target ^ columns[q], q, mask | 1 << (n - 1 - q))
+                            for target, last, mask in self.subsets
+                            for q in range(last + 1, n)]
+        self.lookup_nodes += cost
+        room = _charge(budget, cost)
+        for target, last, mask in islice(self.subsets, room):
+            hits = where.get(target)
+            if hits is None or hits[-1] <= last or not self._independent_off_unit(mask):
+                continue
+            self.masks.extend(mask | 1 << (n - 1 - p) for p in hits if p > last)
+        self.size += 1
+        self.complete = room == cost
+
+    def _independent_off_unit(self, mask: int) -> bool:
+        """Are the columns of `mask` and e_j independent together?"""
+        n = self.encoder.n
+        basis: dict[int, int] = {}
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            if not xor_basis_add(basis, self.columns[n - low.bit_length()]):
+                return False
+        return xor_basis_add(basis, self.unit)
+
+
 @dataclass(frozen=True)
 class ServeResult:
     status: str  # served | unservable | unknown
     plan: ServingPlan | None
-    nodes: int
+    nodes: int  # set_nodes + backtrack_nodes
+    set_nodes: int  # spent building the minimal-set lists
+    backtrack_nodes: int  # one per set placed by the backtracker
 
 
 def serve_query(
@@ -444,7 +544,20 @@ def serve_query(
     """Assign one recovery set per request, respecting width and multiplicity.
 
     Minimal sets suffice: any serving plan shrinks to one that uses only
-    inclusion-minimal sets without raising width or multiplicity.
+    inclusion-minimal sets without raising width or multiplicity.  The
+    backtracker reads each requested bit's minimal sets in (size, positions)
+    order from a list built lazily, only when it reads past what is built.
+    A linear encoder's list grows one size layer at a time.  Layer s costs
+    one node per (s-1)-subset A of positions: each later position whose
+    column is e_j plus the columns of A closes a set whose columns sum to
+    e_j, kept when they are independent.  Once the next layer would take
+    these lookup nodes past the coset size 2^(n-k), the coset walk of
+    `minimal_recovery_sets` supplies every larger size at once, so reading
+    a list to its end costs at most twice the walk's nodes.  An explicit
+    encoder's list is enumerated whole at its first read, at the nodes of
+    `minimal_recovery_sets`.  Each set the backtracker places costs one
+    more node.  A plan comes out the same as from the eager enumeration;
+    "unservable" needs every list read to its end uncut.
     """
     if mu < 1:
         raise UsageError("multiplicity cap must be >= 1")
@@ -454,19 +567,18 @@ def serve_query(
     budget = ensure_budget(budget)
     used0 = budget.used
     cache = _set_cache if _set_cache is not None else {}
-    enum_complete = True
-    per_request: list[list[int]] = []
+    per_request: list[_LazySets] = []
     n = encoder.n
-    for i in query.requests:
+    requests = query.requests
+    for i in requests:
         if i not in cache:
-            cache[i] = _minimal_masks(encoder, i, w, budget)
-        masks, complete = cache[i]
-        enum_complete = enum_complete and complete
-        per_request.append(masks)
+            cache[i] = _LazySets(encoder, i, w)
+        per_request.append(cache[i])
 
     usage = [0] * (n + 1)
     chosen: list[int] = []
     cut = False
+    placed = 0
 
     def feasible(mask: int) -> bool:
         m = mask
@@ -485,37 +597,41 @@ def serve_query(
             m ^= low
 
     def backtrack(r: int, min_idx: int) -> bool:
-        nonlocal cut
-        if r == len(query.requests):
+        nonlocal cut, placed
+        if r == len(requests):
             return True
+        sets = per_request[r]
+        masks = sets.masks
         # Requests for the same bit are interchangeable: force nondecreasing
         # candidate indices across equal consecutive requests.
-        start = min_idx if r > 0 and query.requests[r] == query.requests[r - 1] else 0
-        for idx in range(start, len(per_request[r])):
-            mask = per_request[r][idx]
-            if not feasible(mask):
-                continue
-            if not budget.spend():
-                cut = True
-                return False
-            apply(mask, 1)
-            chosen.append(idx)
-            if backtrack(r + 1, idx):
-                return True
-            chosen.pop()
-            apply(mask, -1)
-            if cut:
-                return False
+        idx = min_idx if r > 0 and requests[r] == requests[r - 1] else 0
+        while idx < len(masks) or sets.has(idx, budget):
+            mask = masks[idx]
+            if feasible(mask):
+                if not budget.spend():
+                    cut = True
+                    return False
+                placed += 1
+                apply(mask, 1)
+                chosen.append(idx)
+                if backtrack(r + 1, idx):
+                    return True
+                chosen.pop()
+                apply(mask, -1)
+                if cut:
+                    return False
+            idx += 1
+        if not sets.complete:
+            cut = True  # the list was cut short: nothing is proven
         return False
 
-    if backtrack(0, 0):
-        sets = tuple(
-            frozenset(mask_to_positions(n, per_request[r][chosen[r]]))
-            for r in range(len(query.requests))
-        )
-        return ServeResult(SERVED, ServingPlan(sets), budget.used - used0)
-    status = UNSERVABLE if enum_complete and not cut else UNKNOWN
-    return ServeResult(status, None, budget.used - used0)
+    served = backtrack(0, 0)
+    nodes = budget.used - used0
+    if served:
+        sets = tuple(frozenset(mask_to_positions(n, per_request[r].masks[chosen[r]]))
+                     for r in range(len(requests)))
+        return ServeResult(SERVED, ServingPlan(sets), nodes, nodes - placed, placed)
+    return ServeResult(UNKNOWN if cut else UNSERVABLE, None, nodes, nodes - placed, placed)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +650,9 @@ class VerifyReport:
     verdict: bool
     complete: bool
     witnesses: list[dict]
-    nodes: int
+    nodes: int  # set_nodes + backtrack_nodes
+    set_nodes: int  # spent building the minimal-set lists
+    backtrack_nodes: int  # one per set placed by the backtracker
     elapsed: float
     failure: dict | None = None
 
@@ -545,7 +663,9 @@ class VerifyReport:
             "verdict": self.verdict,
             "complete": self.complete,
             "witnesses": self.witnesses,
-            "statistics": {"nodes": self.nodes, "elapsed": self.elapsed},
+            "statistics": {"nodes": self.nodes, "set_nodes": self.set_nodes,
+                           "backtrack_nodes": self.backtrack_nodes,
+                           "elapsed": self.elapsed},
             "failure": self.failure,
         }
 
@@ -561,12 +681,13 @@ _FAILURE_REASONS = {UNSERVABLE: "no serving plan exists", UNKNOWN: "budget exhau
 
 
 def _report(
-    head: tuple, witnesses: list[dict], nodes: int, start: float,
+    head: tuple, witnesses: list[dict], spent: list[int], start: float,
     failure: dict | None = None, complete: bool = True,
 ) -> VerifyReport:
-    """A verify report for `head` = (property, t, w, mu); the verdict holds
-    exactly when nothing failed."""
-    return VerifyReport(*head, failure is None, complete, witnesses, nodes,
+    """A verify report for `head` = (property, t, w, mu) and `spent` =
+    [set nodes, backtrack nodes]; the verdict holds exactly when nothing
+    failed."""
+    return VerifyReport(*head, failure is None, complete, witnesses, sum(spent), *spent,
                         time.monotonic() - start, failure)
 
 
@@ -581,7 +702,13 @@ def verify_pir(
     """Check the constant query (j repeated t times) for every data bit j.
 
     When witnesses are supplied the check is membership + overlap accounting
-    only; otherwise each bit is served by backtracking search.
+    only; otherwise each bit is served by `serve_query`, which reads the
+    bit's minimal sets from a list built lazily.  A linear layer s
+    costs one node per (s-1)-subset A, and keeps each A + {p} whose columns
+    sum to e_j and are independent; past 2^(n-k) lookup nodes the coset
+    walk builds the rest, so a bit costs at most twice the walk's nodes
+    plus one node per set placed.  `statistics` splits `nodes` into
+    `set_nodes` (building the lists) and `backtrack_nodes` (sets placed).
     """
     if t < 1:
         raise UsageError("t must be >= 1")
@@ -593,23 +720,24 @@ def verify_pir(
     start = time.monotonic()
     head = ("pir", t, w, mu)
     out: list[dict] = []
-    nodes = 0
+    spent = [0, 0]
     for j in range(1, encoder.k + 1):
         if witnesses is not None and j in witnesses:
             sets = [frozenset(s) for s in witnesses[j]]
             ok, why = _check_witness_sets(encoder, j, sets, t, w, mu)
             if not ok:
-                return _report(head, out, nodes, start, {"bit": j, "reason": why})
+                return _report(head, out, spent, start, {"bit": j, "reason": why})
             out.append(_witness_entry(j, sets))
             continue
         res = serve_query(encoder, Query((j,) * t), w, mu, budget)
-        nodes += res.nodes
+        spent[0] += res.set_nodes
+        spent[1] += res.backtrack_nodes
         if res.status != SERVED:
-            return _report(head, out, nodes, start,
+            return _report(head, out, spent, start,
                            {"bit": j, "reason": _FAILURE_REASONS[res.status]},
                            complete=res.status == UNSERVABLE)
         out.append(_witness_entry(j, res.plan.sets))
-    return _report(head, out, nodes, start)
+    return _report(head, out, spent, start)
 
 
 def _check_witness_sets(
@@ -641,24 +769,31 @@ def verify_batch(
     t: int,
     budget: Budget | int | None = None,
 ) -> VerifyReport:
-    """Serve every multiset of t requests with multiplicity 1, unbounded width."""
+    """Serve every multiset of t requests with multiplicity 1, unbounded width.
+
+    The queries share each bit's lazily built list of minimal sets (see
+    `serve_query`), so each part of a list is paid for once, by the first
+    query that reads into it; `statistics` splits `nodes` as in
+    `verify_pir`.
+    """
     if t < 1:
         raise UsageError("t must be >= 1")
     budget = ensure_budget(budget)
     start = time.monotonic()
     head = ("batch", t, None, 1)
     out: list[dict] = []
-    nodes = 0
+    spent = [0, 0]
     cache: dict = {}
     for combo in combinations_with_replacement(range(1, encoder.k + 1), t):
         res = serve_query(encoder, Query(combo), None, 1, budget, _set_cache=cache)
-        nodes += res.nodes
+        spent[0] += res.set_nodes
+        spent[1] += res.backtrack_nodes
         if res.status != SERVED:
-            return _report(head, out, nodes, start,
+            return _report(head, out, spent, start,
                            {"query": list(combo), "reason": _FAILURE_REASONS[res.status]},
                            complete=res.status == UNSERVABLE)
         out.append({"query": list(combo), "sets": [sorted(s) for s in res.plan.sets]})
-    return _report(head, out, nodes, start)
+    return _report(head, out, spent, start)
 
 
 # ---------------------------------------------------------------------------

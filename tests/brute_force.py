@@ -1,13 +1,23 @@
 """Brute-force references kept only for the tests: the encoder search, the
 encoder-existence decision without its rank certificate, the two
-minimal-recovery-set enumerators and the column-order canonical-form search
-the library replaced."""
+minimal-recovery-set enumerators, the eager query server and the
+column-order canonical-form search the library replaced, and the layered
+minimal-set lists built from the definition under the node rule of
+`serve_query`."""
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
+from pircodes.budget import ensure_budget
 from pircodes.errors import UsageError
-from pircodes.gf2 import Code, solve_unit, xor_basis_add
-from pircodes.recovery import ExplicitEncoder, _explicit_recovers, verify_pir
+from pircodes.gf2 import BitMatrix, Code, mask_to_positions, solve_unit, xor_basis_add
+from pircodes.recovery import (
+    ExplicitEncoder,
+    LinearEncoder,
+    _explicit_recovers,
+    _minimal_masks,
+    verify_pir,
+)
 from pircodes.search import recoverable_functions
 
 
@@ -91,6 +101,154 @@ def reference_explicit_minimal_masks(encoder, j, max_width, budget):
             if _explicit_recovers(encoder, j, mask):
                 found.append(mask)
     return found, True
+
+
+class EagerSets:
+    """Bit j's minimal sets as the eager `serve_query` read them: the whole
+    `_minimal_masks` enumeration, charged to `budget` when the list is
+    made."""
+
+    def __init__(self, encoder, j, max_width, budget):
+        self.masks, self.complete = _minimal_masks(encoder, j, max_width, budget)
+
+    def has(self, idx, budget):
+        return idx < len(self.masks)
+
+
+class ReferenceLayers:
+    """Bit j's minimal sets built as they are read, from the definitions,
+    under the node rule of `serve_query`.
+
+    Linear layer s spends one node per (s-1)-subset A of positions, in lex
+    order, and keeps A + {p} for each later position p when those columns
+    sum to e_j and have rank s.  When the next layer would take the lookup
+    nodes past 2^(n-k), the per-node coset walk supplies every larger size.
+    An explicit list is the superset-scan enumeration, made at the first
+    read.  Nothing is charged before the first read, so `budget` is unused
+    here."""
+
+    def __init__(self, encoder, j, max_width, budget=None):
+        self.encoder, self.j = encoder, j
+        n = encoder.n
+        self.width = min(n if max_width is None else max_width, n)
+        if isinstance(encoder, LinearEncoder):
+            self.width = min(self.width, encoder.k)
+        self.masks, self.complete, self.size, self.lookup_nodes = [], True, 0, 0
+
+    def has(self, idx, budget):
+        encoder = self.encoder
+        n, k = encoder.n, encoder.k
+        while idx >= len(self.masks) and self.complete and self.size < self.width:
+            s = self.size + 1
+            if not isinstance(encoder, LinearEncoder):
+                masks, self.complete = reference_explicit_minimal_masks(
+                    encoder, self.j, self.width, budget)
+                self.masks += masks
+                self.size = self.width
+            elif self.lookup_nodes + comb(n, s - 1) > 1 << (n - k):
+                masks, self.complete = reference_linear_minimal_masks(
+                    encoder, self.j, self.width, budget)
+                self.masks += [m for m in masks if m.bit_count() > self.size]
+                self.size = self.width
+            else:
+                self.lookup_nodes += comb(n, s - 1)
+                self._lookup_layer(s, budget)
+        return idx < len(self.masks)
+
+    def _lookup_layer(self, s, budget):
+        g = self.encoder.generator
+        n = g.cols
+        unit = 1 << (g.nrows - self.j)
+        for a in combinations(range(1, n + 1), s - 1):
+            if not budget.spend():
+                self.complete = False
+                break
+            for p in range(a[-1] + 1 if a else 1, n + 1):
+                positions = a + (p,)
+                mask = sum(1 << (n - q) for q in positions)
+                columns = BitMatrix(g.nrows, tuple(g.column(q) for q in positions))
+                if g.column_combination(mask) == unit and columns.rank() == s:
+                    self.masks.append(mask)
+        self.size = s
+
+
+def reference_serve_query(encoder, requests, w=None, mu=1, budget=None, cache=None,
+                          lists=EagerSets):
+    """The backtracker `serve_query` replaced, on the eager lists by default
+    (`lists=ReferenceLayers` for the layered ones).  Returns (status, sets,
+    nodes, backtrack_nodes)."""
+    budget = ensure_budget(budget)
+    used0 = budget.used
+    cache = {} if cache is None else cache
+    per_request = []
+    for i in requests:
+        if i not in cache:
+            cache[i] = lists(encoder, i, w, budget)
+        per_request.append(cache[i])
+    n = encoder.n
+    usage = [0] * (n + 1)
+    chosen = []
+    cut = False
+    placed = 0
+
+    def backtrack(r, min_idx):
+        nonlocal cut, placed
+        if r == len(requests):
+            return True
+        sets = per_request[r]
+        idx = min_idx if r > 0 and requests[r] == requests[r - 1] else 0
+        while sets.has(idx, budget):
+            positions = mask_to_positions(n, sets.masks[idx])
+            if all(usage[p] < mu for p in positions):
+                if not budget.spend():
+                    cut = True
+                    return False
+                placed += 1
+                for p in positions:
+                    usage[p] += 1
+                chosen.append(idx)
+                if backtrack(r + 1, idx):
+                    return True
+                chosen.pop()
+                for p in positions:
+                    usage[p] -= 1
+                if cut:
+                    return False
+            idx += 1
+        cut = cut or not sets.complete
+        return False
+
+    if backtrack(0, 0):
+        plan = [sorted(mask_to_positions(n, per_request[r].masks[chosen[r]]))
+                for r in range(len(requests))]
+        return "served", plan, budget.used - used0, placed
+    status = "unknown" if cut else "unservable"
+    return status, None, budget.used - used0, placed
+
+
+_REASONS = {"unservable": "no serving plan exists", "unknown": "budget exhausted"}
+
+
+def reference_verify(encoder, prop, t, w=None, mu=1, budget=None):
+    """`verify_pir` (prop "pir") or `verify_batch` (prop "batch") on the
+    eager server: (verdict, complete, witnesses, failure, backtrack_nodes)."""
+    budget = ensure_budget(budget)
+    witnesses, placed, cache = [], 0, {}
+    if prop == "pir":
+        queries = [(j,) * t for j in range(1, encoder.k + 1)]
+    else:
+        queries = list(combinations_with_replacement(range(1, encoder.k + 1), t))
+        w, mu = None, 1
+    for query in queries:
+        status, plan, _, spent = reference_serve_query(
+            encoder, query, w, mu, budget, cache if prop == "batch" else None)
+        placed += spent
+        key = {"bit": query[0]} if prop == "pir" else {"query": list(query)}
+        if status != "served":
+            return (False, status == "unservable", witnesses,
+                    {**key, "reason": _REASONS[status]}, placed)
+        witnesses.append({**key, "sets": plan})
+    return True, True, witnesses, None, placed
 
 
 def reference_min_form_search(values, n, stop_below):

@@ -13,6 +13,7 @@ from pircodes.designs import exact_packing
 from pircodes.gf2 import Code
 from pircodes.recovery import (
     Query,
+    as_explicit,
     find_disjoint_family,
     minimal_recovery_sets,
     serve_query,
@@ -43,9 +44,10 @@ def _own_nodes(call):
     pytest.param(lambda enc, b: verify_batch(enc, 2, budget=b), id="VerifyReport-batch"),
 ])
 def test_recovery_results_count_their_own_nodes(call, hamming3_encoder):
-    fresh, nodes, growth = _own_nodes(lambda b: call(hamming3_encoder, b))
-    assert fresh > 0
-    assert nodes == growth == fresh
+    for encoder in (hamming3_encoder, as_explicit(hamming3_encoder)):
+        fresh, nodes, growth = _own_nodes(lambda b: call(encoder, b))
+        assert fresh > 0
+        assert nodes == growth == fresh
 
 
 def test_exact_packing_counts_its_own_nodes():
@@ -72,3 +74,14 @@ def test_cut_call_reports_what_it_spent(hamming3_encoder):
     res = minimal_recovery_sets(hamming3_encoder, 1, budget=budget)
     assert not res.complete
     assert res.nodes == 5 and budget.used == EARLIER + 5
+
+
+def test_serve_cut_inside_a_lookup_layer(hamming3_encoder):
+    """Bit 1 of the Hamming [7,4] code: layer 1 (one node) finds {3}, which
+    the backtracker places (one node); the second request reads on, and
+    layer 2 would cost seven nodes, one per position, of which one is left."""
+    budget = Budget(EARLIER + 3, used=EARLIER)
+    res = serve_query(hamming3_encoder, Query((1, 1)), budget=budget)
+    assert res.status == "unknown" and budget.exhausted
+    assert (res.nodes, res.set_nodes, res.backtrack_nodes) == (3, 2, 1)
+    assert res.nodes == budget.used - EARLIER

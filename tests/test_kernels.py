@@ -7,7 +7,11 @@ test of `recovery._linear_minimal_masks`), and
 `find_disjoint_family` is `serve_query` on the constant query.  Each is held
 here to the code it replaced, kept only in these tests: Gauss-Jordan rank,
 the inline Gray walks, the sorted-basis `min` reduction, the row-parity
-syndrome loop and the dedicated disjoint-family backtracker.  The two
+syndrome loop and the dedicated disjoint-family backtracker.  That
+backtracker reads the layered minimal-set lists of `brute_force`, built from
+the definitions under the node rule of `serve_query`, and must agree with it
+on status, sets and nodes at every budget; at an unlimited budget it must
+also agree on status and sets when it reads the eager enumeration.  The two
 minimal-recovery-set enumerators are held to the ones they replaced (in
 `brute_force`): the per-node coset walk with a full basis reduction, and the
 superset-scan subset enumerator with restriction tables.  The separating
@@ -27,7 +31,6 @@ from pircodes.recovery import (
     LinearEncoder,
     RecoveryFamily,
     _linear_recovers,
-    _minimal_masks,
     _separating_supports,
     as_explicit,
     check_family,
@@ -35,7 +38,12 @@ from pircodes.recovery import (
     minimal_recovery_sets,
     verify_pir,
 )
-from brute_force import reference_explicit_minimal_masks, reference_linear_minimal_masks
+from brute_force import (
+    EagerSets,
+    ReferenceLayers,
+    reference_explicit_minimal_masks,
+    reference_linear_minimal_masks,
+)
 from test_minimal_sets import full_rank_generators, reference_minimal_sets
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -100,10 +108,14 @@ def reference_syndrome(h, value):
     return out
 
 
-def reference_family(encoder, j, t, max_width=None, budget=None):
-    """The dedicated disjoint-family backtracker: (status, sets, nodes)."""
+def reference_family(encoder, j, t, max_width=None, budget=None, lists=ReferenceLayers):
+    """The dedicated disjoint-family backtracker, reading bit j's minimal
+    sets from `lists`: the layered lists under the node rule of
+    `serve_query`, or `EagerSets`, the whole enumeration up front.
+    Returns (status, sets, nodes)."""
     budget = ensure_budget(budget)
-    masks, enum_complete = _minimal_masks(encoder, j, max_width, budget)
+    sets = lists(encoder, j, max_width, budget)
+    masks = sets.masks
     chosen = []
     cut = False
 
@@ -111,27 +123,30 @@ def reference_family(encoder, j, t, max_width=None, budget=None):
         nonlocal cut
         if len(chosen) == t:
             return True
-        for idx in range(start, len(masks)):
+        idx = start
+        while sets.has(idx, budget):
             m = masks[idx]
+            idx += 1
             if m & used:
                 continue
             if not budget.spend():
                 cut = True
                 return False
-            chosen.append(idx)
-            if backtrack(idx + 1, used | m):
+            chosen.append(idx - 1)
+            if backtrack(idx, used | m):
                 return True
             chosen.pop()
             if cut:
                 return False
+        cut = cut or not sets.complete
         return False
 
     n = encoder.n
     if backtrack(0, 0):
-        sets = [sorted(p for p in range(1, n + 1) if masks[i] >> (n - p) & 1)
-                for i in chosen]
-        return "found", sets, budget.used
-    if enum_complete and not cut:
+        found = [sorted(p for p in range(1, n + 1) if masks[i] >> (n - p) & 1)
+                 for i in chosen]
+        return "found", found, budget.used
+    if not cut:
         return "impossible", None, budget.used
     return "unknown", None, budget.used
 
@@ -220,6 +235,9 @@ def test_family_matches_reference_backtracker(g):
                         got = find_disjoint_family(encoder, j, t, w, Budget(limit))
                         assert _family(got) == reference_family(encoder, j, t, w,
                                                                 Budget(limit))
+                    unlimited = _family(find_disjoint_family(encoder, j, t, w))
+                    eager = reference_family(encoder, j, t, w, lists=EagerSets)
+                    assert unlimited[:2] == eager[:2]
 
 
 @SETTINGS
@@ -232,6 +250,8 @@ def test_family_matches_reference_on_tables(encoder):
             for limit in (None, 3, 10):
                 got = find_disjoint_family(encoder, j, t, None, Budget(limit))
                 assert _family(got) == reference_family(encoder, j, t, None, Budget(limit))
+            unlimited = _family(find_disjoint_family(encoder, j, t))
+            assert unlimited[:2] == reference_family(encoder, j, t, lists=EagerSets)[:2]
 
 
 def test_check_family_reports_the_failing_position_or_set(k2_encoder):

@@ -221,7 +221,10 @@ class TestVerifyPir:
         assert doc["property"] == "pir"
         assert doc["parameters"] == {"t": 3, "w": None, "mu": 1}
         assert doc["verdict"] is True
-        assert {"nodes", "elapsed"} <= set(doc["statistics"])
+        stats = doc["statistics"]
+        assert {"nodes", "set_nodes", "backtrack_nodes", "elapsed"} <= set(stats)
+        assert stats["nodes"] == stats["set_nodes"] + stats["backtrack_nodes"]
+        assert stats["backtrack_nodes"] == 3 * k2_encoder.k  # no set placed in vain
 
     def test_witness_positions_are_one_based(self, k2_encoder):
         rep = verify_pir(k2_encoder, 3, mu=1)
