@@ -4,14 +4,14 @@ pair-packing constructors (greedy lower bounds and an exact decision).
 Constructors are specialized to strength 2 with lambda = 1, the only case
 the PIR constructions consume; `is_packing` validates general parameters.
 
-`exact_packing` decides a target in this order: the lexicographic greedy
-packing, then three counting certificates that prove `impossible` at zero
-nodes (point degrees, block pairs, leave graph; see `_refutation`), then
-a clique search.  A pair packing is a clique in the graph on all blocks,
-two blocks adjacent when they share at most one point; the search runs the
-`clique` engine on it with {1..blocksize} pinned and the blocks in
-reverse-lexicographic order (see `_search_packing`).  `packing_bound` is
-the largest target the certificates allow.
+`exact_packing` decides a target in this order: three counting
+certificates that prove `impossible` at zero nodes (point degrees, block
+pairs, leave graph; see `_refutation`), then the lexicographic greedy
+packing, then a clique search.  A pair packing is a clique in the graph on
+all blocks, two blocks adjacent when they share at most one point; the
+search runs the `clique` engine on it with {1..blocksize} pinned and the
+blocks in reverse-lexicographic order (see `_search_packing`).
+`packing_bound` is the largest target the certificates allow.
 """
 
 from __future__ import annotations
@@ -222,12 +222,14 @@ def exact_packing(
 ) -> ExactPackingResult:
     """Decide whether a pair-packing with `target` blocks exists.
 
-    The lexicographic greedy packing answers first when it is big enough
-    (certificate "greedy").  Three counting certificates then prove
-    "impossible" at zero nodes, in order (see `_refutation`): the point
-    degree bound b <= floor(v * floor((v-1)/(blocksize-1)) / blocksize)
-    ("counting"), the block-pair bound ("block_pairs") and the leave-graph
-    bound ("leave_graph").  Every other target goes to a clique search
+    Three counting certificates answer first, proving "impossible" at zero
+    nodes, in order (see `_refutation`): the point degree bound
+    b <= floor(v * floor((v-1)/(blocksize-1)) / blocksize) ("counting"),
+    the block-pair bound ("block_pairs") and the leave-graph bound
+    ("leave_graph").  They are sound, so they never refute a target the
+    greedy packing reaches, and a refuted target builds no packing.  The
+    lexicographic greedy packing then answers when it is big enough
+    (certificate "greedy").  Every other target goes to a clique search
     ("search", see `_search_packing`), also when it is cut.
 
     A found design lists its blocks in lexicographic order, starting with
@@ -240,13 +242,13 @@ def exact_packing(
         raise UsageError("target must be >= 1")
     budget = ensure_budget(budget)
 
+    refuted = _refutation(v, blocksize, target)
+    if refuted is not None:
+        return ExactPackingResult(IMPOSSIBLE, None, 0, refuted)
     greedy = greedy_packing(v, blocksize)
     if greedy.num_blocks >= target:
         design = PackingDesign(v, blocksize, 2, 1, greedy.blocks[:target])
         return ExactPackingResult(FOUND, design, 0, "greedy")
-    refuted = _refutation(v, blocksize, target)
-    if refuted is not None:
-        return ExactPackingResult(IMPOSSIBLE, None, 0, refuted)
     return _search_packing(v, blocksize, target, budget)
 
 

@@ -273,8 +273,10 @@ def minimal_recovery_sets(
     S - {p} is still a transversal.  A transversal that is not minimal
     contains a smaller minimal one, which the (size, lex) order has already
     found; so the masks skipped without spending a node are exactly the
-    supersets of found sets.  The completeness flag drops when the node
-    budget runs out.
+    supersets of found sets.  Each size thus spends its nodes whatever the
+    smaller sizes found, which lets `serve_query` build an explicit list one
+    size at a time at these same nodes.  The completeness flag drops when
+    the node budget runs out.
     """
     budget = ensure_budget(budget)
     used0 = budget.used
@@ -353,13 +355,19 @@ def _linear_minimal_masks(
 
 
 def _explicit_minimal_masks(
-    encoder: ExplicitEncoder, j: int, max_width: int, budget: Budget
+    encoder: ExplicitEncoder, j: int, max_width: int, budget: Budget, above: int = 0
 ) -> tuple[list[int], bool]:
+    """The subset test over the sizes from above + 1 to `max_width`.  A mask
+    is skipped without a node by its own private hits, not by the sets of
+    smaller sizes, so each size spends the same nodes at every `above`.
+    The nodes are counted here and charged once, at the end or at the cut."""
     n = encoder.n
     edges = _separating_supports(encoder, j)
     bits = [1 << (n - p) for p in range(1, n + 1)]
     found: list[int] = []
-    for size in range(1, max_width + 1):
+    room = None if budget.limit is None else max(0, budget.limit - budget.used)
+    spent = 0
+    for size in range(above + 1, max_width + 1):
         for combo in combinations(bits, size):
             mask = sum(combo)
             private = 0  # positions that are the only hit of some edge
@@ -374,10 +382,14 @@ def _explicit_minimal_masks(
                 if private != mask:
                     continue  # a non-minimal transversal contains a found set
                 keep = True
-            if not budget.spend():
+            if spent == room:
+                _charge(budget, spent + 1)  # spends the room, records the refusal
                 return found, False
+            spent += 1
             if keep:
                 found.append(mask)
+    if spent:
+        budget.spend(spent)
     return found, True
 
 
@@ -443,16 +455,30 @@ def find_disjoint_family(
     return FamilyResult(IMPOSSIBLE if res.status == UNSERVABLE else UNKNOWN, None, res.nodes)
 
 
+def _column_index(encoder: LinearEncoder) -> tuple[list[int], dict[int, list[int]]]:
+    """The generator's columns (0-based) and, per column value, the indices
+    holding it in ascending order; built once per encoder."""
+    index = getattr(encoder, "_column_cache", None)
+    if index is None:
+        columns = [encoder.generator.column(p) for p in range(1, encoder.n + 1)]
+        where: dict[int, list[int]] = {}
+        for i, c in enumerate(columns):
+            where.setdefault(c, []).append(i)
+        index = (columns, where)
+        object.__setattr__(encoder, "_column_cache", index)
+    return index
+
+
 class _LazySets:
     """The minimal recovery sets of bit j, in the (size, positions) order of
-    `minimal_recovery_sets`, built as the backtracker reads them under the
-    node rule of `serve_query`: a linear encoder's one size layer at a time,
-    an explicit encoder's whole list at the first read.
+    `minimal_recovery_sets`, built one size layer at a time as the
+    backtracker reads them, under the node rule of `serve_query`.
 
     A linear lookup layer keeps A + {p}, whose columns sum to e_j, when its
     columns are independent, i.e. when the columns of A and e_j are; each A
     yields its later positions p in order, so the layer comes out in lex
-    order.  A layer the budget cuts ends the list with `complete` False.
+    order.  An explicit layer s is `_explicit_minimal_masks` on size s
+    alone.  A layer the budget cuts ends the list with `complete` False.
     """
 
     def __init__(self, encoder: Encoder, j: int, max_width: int | None) -> None:
@@ -462,13 +488,11 @@ class _LazySets:
         self.complete = True  # no layer was cut by the budget
         self.size = 0  # the sets of at most this many positions are built
         self.width = min(_checked_width(encoder, j, max_width), encoder.n)
-        if isinstance(encoder, LinearEncoder):
+        self.linear = isinstance(encoder, LinearEncoder)
+        if self.linear:
             self.width = min(self.width, encoder.k)  # independent columns
             self.lookup_nodes = 0
-            self.columns = [encoder.generator.column(p) for p in range(1, encoder.n + 1)]
-            self.where: dict[int, list[int]] = {}  # column -> its 0-based indices
-            for i, c in enumerate(self.columns):
-                self.where.setdefault(c, []).append(i)
+            self.columns, self.where = _column_index(encoder)
             self.unit = 1 << (encoder.k - j)
             # (e_j + the columns of A, last index of A, mask of A) for the
             # subsets A of the last layer walked (the next one, at first).
@@ -478,14 +502,17 @@ class _LazySets:
         """Is there an idx-th set?  Builds layers until there is one or none
         is left to build (all built, or a layer was cut)."""
         while idx >= len(self.masks) and self.complete and self.size < self.width:
-            if isinstance(self.encoder, LinearEncoder):
+            if self.linear:
                 self._grow_linear(budget)
             else:
-                masks, self.complete = _explicit_minimal_masks(
-                    self.encoder, self.j, self.width, budget)
-                self.masks.extend(masks)
-                self.size = self.width
+                self._grow_explicit(budget)
         return idx < len(self.masks)
+
+    def _grow_explicit(self, budget: Budget) -> None:
+        layer, self.complete = _explicit_minimal_masks(
+            self.encoder, self.j, self.size + 1, budget, above=self.size)
+        self.masks.extend(layer)
+        self.size += 1
 
     def _grow_linear(self, budget: Budget) -> None:
         n, k = self.encoder.n, self.encoder.k
@@ -546,17 +573,20 @@ def serve_query(
     Minimal sets suffice: any serving plan shrinks to one that uses only
     inclusion-minimal sets without raising width or multiplicity.  The
     backtracker reads each requested bit's minimal sets in (size, positions)
-    order from a list built lazily, only when it reads past what is built.
-    A linear encoder's list grows one size layer at a time.  Layer s costs
-    one node per (s-1)-subset A of positions: each later position whose
-    column is e_j plus the columns of A closes a set whose columns sum to
-    e_j, kept when they are independent.  Once the next layer would take
-    these lookup nodes past the coset size 2^(n-k), the coset walk of
+    order from a list built lazily, one size layer at a time, only when it
+    reads past what is built.  Linear layer s costs one node per
+    (s-1)-subset A of positions: each later position whose column is e_j
+    plus the columns of A closes a set whose columns sum to e_j, kept when
+    they are independent.  Once the next layer would take these lookup
+    nodes past the coset size 2^(n-k), the coset walk of
     `minimal_recovery_sets` supplies every larger size at once, so reading
-    a list to its end costs at most twice the walk's nodes.  An explicit
-    encoder's list is enumerated whole at its first read, at the nodes of
-    `minimal_recovery_sets`.  Each set the backtracker places costs one
-    more node.  A plan comes out the same as from the eager enumeration;
+    a list to its end costs at most twice the walk's nodes.  Explicit layer
+    s costs the nodes `minimal_recovery_sets` spends on size s, so an
+    explicit list read to its end costs what the enumeration does.  Each
+    set the backtracker places costs one more node.  A set fits when it
+    misses `full`, the mask of positions already used mu times; at mu = 1
+    that is every position in use, so placing and removing a set is one
+    XOR.  A plan comes out the same as from the eager enumeration;
     "unservable" needs every list read to its end uncut.
     """
     if mu < 1:
@@ -575,29 +605,27 @@ def serve_query(
             cache[i] = _LazySets(encoder, i, w)
         per_request.append(cache[i])
 
-    usage = [0] * (n + 1)
+    full = 0  # the positions already used mu times
+    usage = [0] * (n + 1)  # per position bit (by bit_length), when mu > 1
     chosen: list[int] = []
     cut = False
     placed = 0
 
-    def feasible(mask: int) -> bool:
-        m = mask
-        while m:
-            low = m & -m
-            if usage[n - low.bit_length() + 1] >= mu:
-                return False
-            m ^= low
-        return True
-
     def apply(mask: int, delta: int) -> None:
+        nonlocal full
         m = mask
         while m:
             low = m & -m
-            usage[n - low.bit_length() + 1] += delta
             m ^= low
+            b = low.bit_length()
+            usage[b] += delta
+            if usage[b] == mu:
+                full |= low
+            else:
+                full &= ~low
 
     def backtrack(r: int, min_idx: int) -> bool:
-        nonlocal cut, placed
+        nonlocal cut, placed, full
         if r == len(requests):
             return True
         sets = per_request[r]
@@ -607,17 +635,23 @@ def serve_query(
         idx = min_idx if r > 0 and requests[r] == requests[r - 1] else 0
         while idx < len(masks) or sets.has(idx, budget):
             mask = masks[idx]
-            if feasible(mask):
+            if not mask & full:
                 if not budget.spend():
                     cut = True
                     return False
                 placed += 1
-                apply(mask, 1)
+                if mu == 1:
+                    full ^= mask
+                else:
+                    apply(mask, 1)
                 chosen.append(idx)
                 if backtrack(r + 1, idx):
                     return True
                 chosen.pop()
-                apply(mask, -1)
+                if mu == 1:
+                    full ^= mask
+                else:
+                    apply(mask, -1)
                 if cut:
                     return False
             idx += 1
@@ -703,11 +737,13 @@ def verify_pir(
 
     When witnesses are supplied the check is membership + overlap accounting
     only; otherwise each bit is served by `serve_query`, which reads the
-    bit's minimal sets from a list built lazily.  A linear layer s
-    costs one node per (s-1)-subset A, and keeps each A + {p} whose columns
-    sum to e_j and are independent; past 2^(n-k) lookup nodes the coset
-    walk builds the rest, so a bit costs at most twice the walk's nodes
-    plus one node per set placed.  `statistics` splits `nodes` into
+    bit's minimal sets from a list built lazily, one size at a time.  A
+    linear layer s costs one node per (s-1)-subset A, and keeps each
+    A + {p} whose columns sum to e_j and are independent; past 2^(n-k)
+    lookup nodes the coset walk builds the rest, so a bit costs at most
+    twice the walk's nodes plus one node per set placed.  An explicit layer
+    costs what `minimal_recovery_sets` spends on its size.  `statistics`
+    splits `nodes` into
     `set_nodes` (building the lists) and `backtrack_nodes` (sets placed).
     """
     if t < 1:

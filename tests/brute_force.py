@@ -83,11 +83,12 @@ def reference_linear_minimal_masks(encoder, j, max_width, budget):
     return minimal, complete
 
 
-def reference_explicit_minimal_masks(encoder, j, max_width, budget):
+def reference_explicit_minimal_masks(encoder, j, max_width, budget, above=0):
     """The superset-scan enumerator `minimal_recovery_sets` replaced: masks
     in (size, lex) order, supersets of found sets skipped without a node,
     every other mask charged one node and tested by its restriction table.
-    Returns (masks, complete)."""
+    With `above`, the sizes up to `above` are enumerated uncharged, for the
+    superset skip only, and left out.  Returns (masks, complete)."""
     n = encoder.n
     bits = [1 << (n - p) for p in range(1, n + 1)]
     found = []
@@ -96,11 +97,11 @@ def reference_explicit_minimal_masks(encoder, j, max_width, budget):
             mask = sum(combo)
             if any((f & mask) == f for f in found):
                 continue
-            if not budget.spend():
-                return found, False
+            if size > above and not budget.spend():
+                return [m for m in found if m.bit_count() > above], False
             if _explicit_recovers(encoder, j, mask):
                 found.append(mask)
-    return found, True
+    return [m for m in found if m.bit_count() > above], True
 
 
 class EagerSets:
@@ -123,9 +124,9 @@ class ReferenceLayers:
     order, and keeps A + {p} for each later position p when those columns
     sum to e_j and have rank s.  When the next layer would take the lookup
     nodes past 2^(n-k), the per-node coset walk supplies every larger size.
-    An explicit list is the superset-scan enumeration, made at the first
-    read.  Nothing is charged before the first read, so `budget` is unused
-    here."""
+    Explicit layer s is the superset-scan enumeration restricted to size s,
+    charged only for that size.  Nothing is charged before the first read,
+    so `budget` is unused here."""
 
     def __init__(self, encoder, j, max_width, budget=None):
         self.encoder, self.j = encoder, j
@@ -142,9 +143,9 @@ class ReferenceLayers:
             s = self.size + 1
             if not isinstance(encoder, LinearEncoder):
                 masks, self.complete = reference_explicit_minimal_masks(
-                    encoder, self.j, self.width, budget)
+                    encoder, self.j, s, budget, above=s - 1)
                 self.masks += masks
-                self.size = self.width
+                self.size = s
             elif self.lookup_nodes + comb(n, s - 1) > 1 << (n - k):
                 masks, self.complete = reference_linear_minimal_masks(
                     encoder, self.j, self.width, budget)

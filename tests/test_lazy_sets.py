@@ -1,17 +1,21 @@
 """Differential tests for serving from minimal recovery sets built lazily.
 
 `serve_query` reads each requested bit's minimal sets from a list that is
-built only when the backtracker reads past it: a linear encoder's one size
-layer at a time, an explicit encoder's whole.
+built only when the backtracker reads past it, one size layer at a time.
 These tests hold it to the eager server it replaced (`brute_force`): at an
 unlimited budget `verify_pir`, `verify_batch` and `find_disjoint_family`
 give the same verdicts, witnesses and failures, and place the same sets.
 Each linear lookup layer is the size-s slice of `minimal_recovery_sets`,
-and a list read to its end costs at most twice the coset walk.  Under cut
-budgets a served plan still passes the witness check, and "unservable"
-never follows a cut.
+and a list read to its end costs at most twice the coset walk.  Each
+explicit layer is the size-s slice too, at the nodes the enumerator spends
+on size s, so a list read to its end costs what the enumerator does.  The
+backtracker tests a set against one mask of the positions used mu times;
+it must place the same sets at the same nodes as the reference backtracker,
+which counts the uses of every position.  Under cut budgets a served plan
+still passes the witness check, and "unservable" never follows a cut.
 """
 
+from itertools import combinations_with_replacement
 from math import comb
 
 from hypothesis import example, given, settings, strategies as st
@@ -19,18 +23,25 @@ from hypothesis import example, given, settings, strategies as st
 from pircodes.budget import Budget
 from pircodes.gf2 import BitMatrix
 from pircodes.recovery import (
+    ExplicitEncoder,
     LinearEncoder,
     Query,
     _check_witness_sets,
     _LazySets,
     _minimal_masks,
+    as_explicit,
     find_disjoint_family,
     is_recovery_set,
     serve_query,
     verify_batch,
     verify_pir,
 )
-from brute_force import ReferenceLayers, reference_serve_query, reference_verify
+from brute_force import (
+    ReferenceLayers,
+    reference_explicit_minimal_masks,
+    reference_serve_query,
+    reference_verify,
+)
 from test_kernels import explicit_tables
 from test_minimal_sets import full_rank_generators
 
@@ -97,6 +108,73 @@ def test_linear_layers_are_slices_of_the_walk(g, w):
         assert sets.complete and sets.masks == full
         assert not sets.has(len(full), budget)
         assert budget.used <= 2 * coset
+
+
+@SETTINGS
+@given(explicit_tables(max_k=3, max_n=7), st.sampled_from([None, 1, 2, 3]))
+@example(as_explicit(LinearEncoder(K2)), None)
+@example(ExplicitEncoder(2, 3, (0b000, 0b011, 0b101, 0b110)), None)  # (3,4,2) even-weight
+def test_explicit_layers_are_slices_of_the_enumerator(encoder, w):
+    for j in range(1, encoder.k + 1):
+        eager = Budget(None)
+        full, _ = _minimal_masks(encoder, j, w, eager)
+        sets = _LazySets(encoder, j, w)
+        budget = Budget(None)
+        while sets.size < sets.width:
+            size, built, used = sets.size, len(sets.masks), budget.used
+            sets._grow_explicit(budget)  # one layer, as `has` builds them
+            spend = Budget(None)
+            reference, _ = reference_explicit_minimal_masks(encoder, j, size + 1, spend,
+                                                            above=size)
+            assert sets.size == size + 1 and sets.complete
+            assert sets.masks[built:] == reference == [m for m in full
+                                                       if m.bit_count() == size + 1]
+            assert budget.used - used == spend.used, (j, size + 1)
+        assert sets.masks == full and budget.used == eager.used
+        assert not sets.has(len(full), budget)
+
+
+def _with_extra_columns(g, extras):
+    """g with a zero column (None) or a copy of column c inserted for each
+    (place, c) in `extras`."""
+    columns = [g.column(p) for p in range(1, g.cols + 1)]
+    for place, c in extras:
+        columns.insert(place % (len(columns) + 1), 0 if c is None else columns[c % g.cols])
+    n, k = len(columns), g.nrows
+    return BitMatrix(n, tuple(sum((col >> (k - 1 - i) & 1) << (n - 1 - q)
+                                  for q, col in enumerate(columns)) for i in range(k)))
+
+
+padded_generators = st.tuples(
+    full_rank_generators(max_k=4, max_n=7),
+    st.lists(st.tuples(st.integers(0, 10), st.one_of(st.none(), st.integers(0, 10))),
+             max_size=3),
+).map(lambda ge: LinearEncoder(_with_extra_columns(*ge)))
+
+
+@SETTINGS
+@given(st.one_of(padded_generators, explicit_tables(max_k=3, max_n=6)), st.data())
+@example(LinearEncoder(ZERO_COLUMNS), None)
+@example(LinearEncoder(REPEATED_COLUMNS), None)
+@example(as_explicit(LinearEncoder(K2)), None)
+def test_mask_backtracker_matches_per_position_usage(encoder, data):
+    if data is None:  # the fixed examples: every request multiset of up to 3
+        cases = [(r, w, mu, limit) for t in (1, 2, 3)
+                 for r in combinations_with_replacement(range(1, encoder.k + 1), t)
+                 for w in (None, 2) for mu in (1, 2, 3) for limit in (None, 4, 12)]
+    else:
+        requests = data.draw(st.lists(st.integers(1, encoder.k), min_size=1, max_size=5))
+        if data.draw(st.booleans()):
+            requests.sort()  # equal requests adjacent, as in a constant query
+        cases = [(tuple(requests), data.draw(st.sampled_from([None, 1, 2, 3])),
+                  data.draw(st.integers(1, 3)),
+                  data.draw(st.one_of(st.none(), st.integers(0, 80))))]
+    for requests, w, mu, limit in cases:
+        res = serve_query(encoder, Query(requests), w, mu, Budget(limit))
+        plan = None if res.plan is None else [sorted(s) for s in res.plan.sets]
+        assert (res.status, plan, res.nodes, res.backtrack_nodes) == reference_serve_query(
+            encoder, requests, w, mu, Budget(limit), lists=ReferenceLayers), (
+            requests, w, mu, limit)
 
 
 @SETTINGS

@@ -5,7 +5,9 @@ numbers where those are known.
 `_refutation` checks each bound on the balanced point degrees only.  It is
 held to a reference that tries every multiset of point degrees, and its
 Erdős–Gallai test to brute force over all small graphs.  Every sub-design
-of a design that `exact_packing` returns passes every certificate.
+of a design that `exact_packing` returns passes every certificate.  The
+certificates are checked before the greedy packing, so a refuted target
+builds none.
 """
 
 from collections import Counter
@@ -13,6 +15,7 @@ from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
+from pircodes import designs
 from pircodes.budget import Budget
 from pircodes.designs import (
     _graphical,
@@ -65,6 +68,29 @@ def test_each_certificate_decides_at_zero_nodes_on_a_used_budget():
         res = exact_packing(v, s, target, budget=budget)
         assert (res.status, res.nodes, res.certificate) == ("impossible", 0, certificate)
         assert budget.used == 1_000
+
+
+def test_refuted_targets_build_no_greedy_packing(monkeypatch):
+    """The impossible targets of the packing benchmark, and one past the
+    bound for every v <= 15 and s <= 6, decide the same without
+    `greedy_packing`."""
+    cases = [(r, 4, packing_number_formula(r) + 1) for r in range(4, 11)]
+    cases += [(11, 4, 7), (13, 5, 4)]
+    cases += [(v, s, packing_bound(v, s) + 1) for v in range(3, 16) for s in (3, 4, 5, 6)
+              if s <= v]
+    before = {}
+    for case in cases:
+        res = exact_packing(*case)
+        before[case] = (res.status, res.certificate, res.nodes)
+
+    def refuse(v, blocksize):
+        raise AssertionError(f"greedy packing built for ({v}, {blocksize})")
+
+    monkeypatch.setattr(designs, "greedy_packing", refuse)
+    for case in cases:
+        res = exact_packing(*case)
+        assert (res.status, res.certificate, res.nodes) == before[case], case
+        assert res.status == "impossible", case
 
 
 def point_degree_multisets(total: int, parts: int, cap: int):
