@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .budget import Budget, ensure_budget
 from .clique import CliqueSearch
@@ -52,8 +52,8 @@ __all__ = [
     "optimality_report_3pir",
 ]
 
-# Maximum sizes of binary distance-3 codes from the published tables; used
-# (and flagged) wherever the clique search is out of budget.
+# Maximum sizes of binary distance-3 codes from the published tables;
+# max_code_size serves (and flags) them beyond the computed range.
 REFERENCE_A2 = {3: 2, 4: 2, 5: 4, 6: 8, 7: 16, 8: 20, 9: 40, 10: 72, 11: 144, 12: 256}
 
 # Largest length computed exactly by default; beyond it the reference table
@@ -305,33 +305,22 @@ class BoundReport:
         }
 
 
-def _a2_entry(n: int, cache: dict[int, A2Entry], overrides) -> A2Entry:
-    if overrides and n in overrides:
-        return overrides[n]
-    if n not in cache:
-        if n <= 7:
-            cache[n] = max_code_size(n, 3)
-        else:
-            cache[n] = A2Entry(n, REFERENCE_A2[n], "reference", None, False)
-    return cache[n]
-
-
-def optimality_report_3pir(
-    k: int,
-    a2_overrides: Mapping[int, A2Entry] | None = None,
-    seven_sixteen_unique_verified: bool = False,
-) -> BoundReport:
-    """Assemble the exact shortest length of a 3-available code of size 2^k.
+def optimality_report_3pir(k: int) -> BoundReport:
+    """Assemble the shortest length of a 3-available code of size 2^k.
 
     Upper bound: the systematic construction, verified by exact search.
-    Lower bound: every 3-available code has minimum distance >= 3, so
-    lengths with A2(n,3) < 2^k are impossible; at k=4, length 7 is killed by
-    the uniqueness of the (7,16,3) code (literature, unless upgraded) plus
-    the exhaustive no-encoder scan.  Every chain link is either computed
-    here or carries a literature flag.
+    Lower bound: every 3-available code has minimum distance >= 3, and a
+    distance-3 code of length n has at most floor(2^n/(n+1)) words (the
+    sphere-packing bound), so every length where that is below 2^k is
+    impossible.  At k=4 the bound is met with equality at length 7: any
+    (7,16,3) code is perfect, its uniqueness is cited (literature flag) and
+    the exhaustive no-encoder scan rules it out.  At k=7 the open length 11
+    carries the paper's linear impossibility result.  The verdict is exact
+    where the bounds meet and gap elsewhere; every chain link is computed
+    here, a theorem, or carries a literature flag.
     """
-    if not 1 <= k <= 6:
-        raise UsageError("exact optimality reports cover k = 1..6")
+    if k < 1:
+        raise UsageError("need k >= 1")
     chain: list[ChainLink] = []
     flags: list[str] = []
 
@@ -348,57 +337,46 @@ def optimality_report_3pir(
         "theorem:min-distance-bound (instance-checked across the test corpus)",
         True,
     ))
-    chain.append(ChainLink(
-        "lengths below 3 cannot carry distance 3",
-        "computed: distance is at most the length",
-        True,
-    ))
 
     need = 1 << k
-    cache: dict[int, A2Entry] = {}
-    n_lower = 3
-    for n_cand in range(3, n_upper):
-        entry = _a2_entry(n_cand, cache, a2_overrides)
-        method = (
-            f"computed:max_code_size({n_cand})"
-            if entry.source == "computed"
-            else f"literature:[br-tab] A2({n_cand},3)={entry.value}"
-        )
-        if entry.source != "computed":
-            flags.append(f"[br-tab] A2({n_cand},3)={entry.value}")
-        if entry.value < need:
+    n_lower = 1
+    # floor(2^n/(n+1)) never decreases in n, so the first length it admits
+    # (other than the perfect k=4 case) ends the chain
+    for n_cand in range(1, n_upper):
+        packed = (1 << n_cand) // (n_cand + 1)
+        if packed < need:
             chain.append(ChainLink(
-                f"length {n_cand} impossible: A2({n_cand},3)={entry.value} < {need}",
-                method, True,
+                f"length {n_cand} impossible: "
+                f"floor(2^{n_cand}/{n_cand + 1})={packed} < {need}",
+                "theorem:sphere-packing", True,
             ))
-            n_lower = n_cand + 1
-            continue
-        if k == 4 and n_cand == 7:
+        elif k == 4 and n_cand == 7:
             chain.append(ChainLink(
-                "A2(7,3)=16 is met only by one code", method, True,
+                "floor(2^7/8)=16 is met with equality: any (7,16,3) code is perfect",
+                "theorem:sphere-packing", True,
             ))
-            if seven_sixteen_unique_verified:
-                chain.append(ChainLink(
-                    "the (7,16,3) code is unique up to equivalence",
-                    "computed:search_codes(7,16,3) exhaustive", True,
-                ))
-            else:
-                chain.append(ChainLink(
-                    "the (7,16,3) code is unique up to equivalence",
-                    "literature:[za52]", True,
-                ))
-                flags.append("[za52] uniqueness of the (7,16,3) code")
+            chain.append(ChainLink(
+                "the (7,16,3) code is unique up to equivalence",
+                "literature:[za52]", True,
+            ))
+            flags.append("[za52] uniqueness of the (7,16,3) code")
             imp = check_no_3pir_any_encoder(3)
             chain.append(ChainLink(
                 "the unique (7,16,3) code admits no 3-available encoder",
                 "computed:check_no_3pir_any_encoder(3)",
                 imp.verdict == "no_encoder",
             ))
-            n_lower = 8
-            continue
-        break
-    else:
-        n_lower = n_upper
+        else:
+            break
+        n_lower = n_cand + 1
+
+    if k == 7:
+        chain.append(ChainLink(
+            "length 11 holds no linear 3-available code of size 2^7; "
+            "a nonlinear one is an open problem",
+            "literature:[arXiv:2208.14552]", True,
+        ))
+        flags.append("[arXiv:2208.14552] no linear (11,2^7) 3-PIR code")
 
     verdict = "exact" if n_lower == n_upper and all(l.ok for l in chain) else "gap"
     return BoundReport(k, 3, n_lower, n_upper, verdict, chain, flags)

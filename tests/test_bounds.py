@@ -1,7 +1,9 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pircodes.bounds import (
     REFERENCE_A2,
@@ -10,7 +12,7 @@ from pircodes.bounds import (
     optimality_report_3pir,
 )
 from pircodes.budget import Budget
-from pircodes.constructions import build_pir3, extend_for_even_t
+from pircodes.constructions import build_pir3, extend_for_even_t, linear_length_table
 from pircodes.errors import UsageError
 from pircodes.gf2 import BitMatrix, Code, min_distance
 from pircodes.recovery import LinearEncoder, verify_pir
@@ -187,28 +189,23 @@ class TestOptimalityReports:
         assert any("admits no 3-available encoder" in c for c in claims)
         assert all(link.ok for link in rep.chain)
 
-    def test_k4_upgraded_chain_drops_za52_flag(self):
-        rep = optimality_report_3pir(4, seven_sixteen_unique_verified=True)
-        assert rep.verdict == "exact"
-        assert not any("za52" in f for f in rep.literature_flags)
+    def test_k5_k6_carry_no_flags(self):
+        for k in (5, 6):
+            rep = optimality_report_3pir(k)
+            assert rep.verdict == "exact"
+            assert rep.literature_flags == []
 
-    def test_k5_k6_flag_reference_a2(self):
-        rep5 = optimality_report_3pir(5)
-        assert any("A2(8,3)=20" in f for f in rep5.literature_flags)
-        rep6 = optimality_report_3pir(6)
-        assert any("A2(9,3)=40" in f for f in rep6.literature_flags)
-
-    def test_computed_a2_override_removes_flag(self):
-        from pircodes.bounds import A2Entry
-
-        fake = A2Entry(8, 20, "computed", None, True, 0)
-        rep = optimality_report_3pir(5, a2_overrides={8: fake})
-        assert rep.verdict == "exact"
-        assert not any("A2(8,3)" in f for f in rep.literature_flags)
+    def test_k7_k8_gap(self):
+        rep7 = optimality_report_3pir(7)
+        assert (rep7.lower_bound, rep7.upper_bound, rep7.verdict) == (11, 12, "gap")
+        assert any("length 11" in link.claim and link.method.startswith("literature:")
+                   for link in rep7.chain)
+        assert len(rep7.literature_flags) == 1
+        rep8 = optimality_report_3pir(8)
+        assert (rep8.lower_bound, rep8.upper_bound, rep8.verdict) == (12, 13, "gap")
+        assert rep8.literature_flags == []
 
     def test_matches_linear_table(self):
-        from pircodes.constructions import linear_length_table
-
         table = dict(linear_length_table(6))
         for k in range(1, 7):
             rep = optimality_report_3pir(k)
@@ -216,5 +213,34 @@ class TestOptimalityReports:
             assert rep.lower_bound == table[k]
 
     def test_k_out_of_range(self):
-        with pytest.raises(UsageError):
-            optimality_report_3pir(7)
+        for k in (0, -1):
+            with pytest.raises(UsageError):
+                optimality_report_3pir(k)
+        assert optimality_report_3pir(7).k == 7
+
+    def test_sphere_packing_never_excludes_a_known_code(self):
+        # the bound may rule out no length that a known distance-3 code fills
+        for n in range(3, 8):
+            assert (1 << n) // (n + 1) >= max_code_size(n, 3).value
+        for n, value in REFERENCE_A2.items():
+            assert (1 << n) // (n + 1) >= value
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=1, max_value=14))
+def test_report_chain_rechecks(k):
+    rep = optimality_report_3pir(k)
+    excluded = []
+    for link in rep.chain:
+        m = re.match(r"length (\d+) impossible", link.claim)
+        if m:
+            n = int(m.group(1))
+            assert link.method == "theorem:sphere-packing"
+            assert 2 ** n // (n + 1) < 2 ** k
+            excluded.append(n)
+    if k == 4:
+        excluded.append(7)  # perfect-code branch: the Hamming scan rules it out
+    assert sorted(excluded) == list(range(1, rep.lower_bound))
+    assert rep.upper_bound == dict(linear_length_table(k))[k]
+    assert rep.lower_bound <= rep.upper_bound
+    assert (rep.verdict == "exact") == (rep.lower_bound == rep.upper_bound)

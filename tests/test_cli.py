@@ -177,6 +177,16 @@ class TestSmallCommands:
         doc = json.loads(out)
         assert [row["n"] for row in doc["table"]] == [3, 5, 6, 8, 9, 10, 12, 13]
 
+    def test_optimal_table_prove_covers_kmax(self, capsys):
+        code, out, _ = run_cli("--format", "json", "optimal-table", "--kmax", "8",
+                               "--prove", capsys=capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["k"] for r in reports] == list(range(1, 9))
+        assert all(r["verdict"] == "exact" for r in reports[:6])
+        assert [(r["verdict"], r["lower_bound"], r["upper_bound"])
+                for r in reports[6:]] == [("gap", 11, 12), ("gap", 12, 13)]
+
     def test_hamming_check_r2(self, capsys):
         code, out, _ = run_cli("--format", "json", "hamming", "check", "--r", "2",
                                capsys=capsys)
