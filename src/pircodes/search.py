@@ -32,11 +32,11 @@ starts from one root {0, 2^w - 1} per weight w >= dmin.
 
 Partition kernel.  The encoder-existence scan and the Hamming no-encoder
 scan share one enumerator of the S(n,3) partitions of the positions into
-three blocks and one component finder.  The agreement classes of a block
-depend only on the code and the block's mask, and the S(n,3) partitions use
-at most 2^n - 1 distinct masks (2,047 at n = 11, against 85,503 blocks), so
-each scan keeps one memo per code from block mask to its classes of two or
-more codewords.
+three blocks; the Hamming scan needs no components, only a rank test.  The
+agreement classes of a block depend only on the code and the block's mask,
+and the S(n,3) partitions use at most 2^n - 1 distinct masks (2,047 at
+n = 11, against 85,503 blocks), so the scan keeps one memo per code from
+block mask to its classes of two or more codewords.
 
 Checkpoint files are ASCII JSON-lines: a header record
 {"format": "pircodes-checkpoint", "version": 1, "problem": {...}} followed

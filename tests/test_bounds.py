@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pircodes.bounds as bounds_module
+import pircodes.search as search_module
 from pircodes.bounds import (
     REFERENCE_A2,
     check_mindist_bound,
@@ -204,6 +206,16 @@ class TestOptimalityReports:
         rep8 = optimality_report_3pir(8)
         assert (rep8.lower_bound, rep8.upper_bound, rep8.verdict) == (12, 13, "gap")
         assert rep8.literature_flags == []
+
+    def test_reports_run_no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the report searched")
+
+        monkeypatch.setattr(bounds_module, "max_code_size", no_search)
+        monkeypatch.setattr(search_module, "search_codes", no_search)
+        reports = [optimality_report_3pir(k) for k in range(1, 9)]
+        assert [(rep.verdict, rep.lower_bound, rep.upper_bound) for rep in reports] == [
+            ("exact", n, n) for n in (3, 5, 6, 8, 9, 10)] + [("gap", 11, 12), ("gap", 12, 13)]
 
     def test_matches_linear_table(self):
         table = dict(linear_length_table(6))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import pircodes.hamming as hamming_module
 from pircodes.cli import main
 from pircodes.designs import parse_packing
 
@@ -193,6 +194,15 @@ class TestSmallCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "encoder_exists"
+
+    def test_hamming_check_r5_rejected_without_scanning(self, capsys, monkeypatch):
+        def no_scan(n):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(hamming_module, "_iter_partitions", no_scan)
+        code, out, err = run_cli("hamming", "check", "--r", "5", capsys=capsys)
+        assert code == 2
+        assert out == "" and "r in {2, 3, 4}" in err
 
     def test_hamming_claims(self, capsys):
         code, out, _ = run_cli("--format", "json", "hamming", "claims", "--r", "3",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pircodes.hamming as hamming_module
 from pircodes.errors import UsageError
 from pircodes.gf2 import LinearCode, min_distance
 from pircodes.hamming import (
@@ -129,9 +130,15 @@ class TestImpossibilityScan:
         assert rep.verdict == "encoder_exists"
         assert rep.counterexample == ((1,), (2,), (3,))
 
-    def test_out_of_regime_rejected(self):
-        with pytest.raises(UsageError):
-            check_no_3pir_any_encoder(4)
+    def test_out_of_regime_rejected(self, monkeypatch):
+        # Rejected before any scan: S(31,3) is about 10^14 partitions.
+        def no_scan(n):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(hamming_module, "_iter_partitions", no_scan)
+        for r in (1, 5):
+            with pytest.raises(UsageError):
+                check_no_3pir_any_encoder(r)
 
 
 class TestTripleGeometryClaims:

@@ -1,6 +1,7 @@
 """Differential tests: the partition-only triple/component kernel against a
-reference that scans every disjoint triple of position sets, and the
-memoised per-partition scan against a memo-free reference.
+reference that scans every disjoint triple of position sets, the memoised
+per-partition scan against a memo-free reference, and the Hamming scan's
+subspace test against the components it replaces.
 
 The references live only here.  They enumerate all unordered triples of
 pairwise disjoint nonempty position sets, find components by pairwise
@@ -8,15 +9,23 @@ agreement, and list balanced unions by brute force, so they share no code
 with `pircodes.search` beyond the public `Code` type.
 """
 
+import random
 from itertools import combinations, product
 
 from hypothesis import example, given, settings, strategies as st
 
 from pircodes.budget import Budget
-from pircodes.gf2 import Code
-from pircodes.hamming import _disjoint_triple_count, build_hamming, check_no_3pir_any_encoder
+from pircodes.gf2 import BitMatrix, Code, LinearCode, mask_to_positions, xor_basis_add
+from pircodes.hamming import (
+    _agreement_rank,
+    _disjoint_triple_count,
+    build_hamming,
+    check_no_3pir_any_encoder,
+)
 from pircodes.search import (
+    _agreement_components,
     _iter_partitions,
+    _mask_indices,
     _scan_partitions,
     encoder_exists_3pir,
     recoverable_functions,
@@ -191,6 +200,62 @@ def test_hamming_scan_pinned():
     for r, expected in ((2, ("encoder_exists", 1, 2)), (3, ("no_encoder", 301, 2))):
         report = check_no_3pir_any_encoder(r)
         assert (report.verdict, report.partitions_scanned, report.max_components) == expected
+
+
+@st.composite
+def codes_with_all_one(draw):
+    """(n, rows): independent generator rows, one of them the all-one word,
+    of a linear code of length n <= 7 and dimension <= 4."""
+    n = draw(st.integers(3, 7))
+    all_one = (1 << n) - 1
+    basis = {}
+    xor_basis_add(basis, all_one)
+    rows = [v for v in draw(st.lists(st.integers(1, all_one), max_size=3))
+            if xor_basis_add(basis, v)]
+    rows.insert(draw(st.integers(0, len(rows))), all_one)
+    return n, rows
+
+
+@SETTINGS
+@given(code=codes_with_all_one())
+@example(code=(7, list(build_hamming(3).generator.rows)))
+@example(code=(3, [0b111]))  # the r = 2 Hamming code: every partition fails
+def test_subspace_test_matches_reference_components(code):
+    n, rows = code
+    values = LinearCode(BitMatrix(n, tuple(rows))).span().values
+    all_one = (1 << n) - 1
+    half = len(values) // 2
+    memo = {}
+    for masks in _iter_partitions(n):
+        dim, fails = _agreement_rank(rows, n, masks, memo)
+        comps = reference_components(
+            values, n, [frozenset(mask_to_positions(n, mk)) for mk in masks])
+        ref_fails = any({v ^ all_one for v in side} != side
+                        for side in reference_unions(comps, half))
+        assert (fails, 1 << (len(rows) - dim)) == (ref_fails, len(comps)), masks
+
+
+def test_hamming_r4_sample_components_are_cosets():
+    # A seeded sample of order-4 partitions, block sizes drawn uniformly: the
+    # generic component finder must see 2^(11 - dim W) components, all fixed
+    # by complementation exactly when the subspace test passes.
+    ham = build_hamming(4)
+    rows, n = ham.generator.rows, ham.n
+    values = ham.code().values
+    index = {v: i for i, v in enumerate(values)}
+    complement = [index[v ^ ((1 << n) - 1)] for v in values]
+    rng = random.Random(4)
+    memo, classes = {}, {}
+    for _ in range(1500):
+        positions = rng.sample(range(1, n + 1), n)
+        i, j = sorted(rng.sample(range(1, n), 2))
+        masks = tuple(sum(1 << (n - p) for p in block)
+                      for block in (positions[:i], positions[i:j], positions[j:]))
+        dim, fails = _agreement_rank(rows, n, masks, memo)
+        comps = _agreement_components(values, masks, classes)
+        assert len(comps) == 1 << (ham.k - dim)
+        fixed = all(sum(1 << complement[q] for q in _mask_indices(c)) == c for c in comps)
+        assert fixed == (not fails)
 
 
 def test_triple_count_closed_form():

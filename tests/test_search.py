@@ -291,6 +291,26 @@ class TestSearchCodes:
         assert sorted(resumed) == sorted(full)
         assert set(part) <= set(resumed)
 
+    @pytest.mark.parametrize("n,size,dmin,nodes", [(6, 4, 3, 114), (5, 4, 2, 148),
+                                                  (7, 4, 3, 701)])
+    def test_checkpoint_resume_at_every_cut(self, tmp_path, n, size, dmin, nodes):
+        stats = SearchStats()
+        full = [c.values for c in search_codes(n, size, dmin, stats=stats)]
+        assert stats.nodes == nodes
+        for budget in range(nodes + 2):
+            ck = str(tmp_path / f"cut{budget}.ckpt")
+            cut_stats = SearchStats()
+            cut = [c.values for c in search_codes(n, size, dmin, budget=budget,
+                                                  checkpoint=ck, stats=cut_stats)]
+            assert cut_stats.complete == (budget >= nodes), budget
+            stats = SearchStats()
+            resumed = [c.values for c in search_codes(n, size, dmin, checkpoint=ck,
+                                                      stats=stats)]
+            assert stats.complete, budget
+            assert len(resumed) == len(set(resumed)), budget
+            assert set(cut) <= set(resumed), budget
+            assert set(resumed) == set(full), budget
+
     @pytest.mark.parametrize("n,size,dmin", [(5, 4, 1), (5, 4, 3), (6, 4, 3), (6, 8, 3)])
     def test_complete_checkpoint_has_one_root_record_per_weight(self, tmp_path, n, size,
                                                                  dmin):
